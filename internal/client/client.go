@@ -2,7 +2,10 @@
 // caching with refresh-on-redirect, retry-with-hint handling during
 // migration, single-key operations, server-grouped multiget/multiput
 // (the locality mechanics Figure 3 measures), and index scans (indexlet
-// lookup followed by a multiget-by-hash fan-out, Figure 2).
+// lookup followed by a multiget-by-hash fan-out, Figure 2). Every data
+// operation reaches its servers through route (one key) or fanOut (a batch
+// grouped by owner), which apply the routing policy written out above
+// them; the public methods only build requests and decode replies.
 package client
 
 import (
@@ -27,9 +30,10 @@ var ErrNoSuchTable = errors.New("client: no such table or tablet")
 // deferred beyond the retry budget.
 var ErrRetriesExhausted = errors.New("client: retries exhausted")
 
-// maxAttempts bounds redirect loops per operation; retry-with-hint waits
-// (migration in progress) are bounded by retryBudget instead, since a
-// cold record may legitimately take a while to arrive.
+// maxAttempts bounds the map refreshes one operation spends on redirects
+// and failed RPCs; retry-with-hint waits (migration in progress) are
+// bounded by retryBudget instead, since a cold record may legitimately
+// take a while to arrive.
 const maxAttempts = 500
 
 // retryBudget bounds the total time an operation waits across
@@ -42,7 +46,7 @@ const maxRetrySleep = 2 * time.Millisecond
 // Stats counts client-side events; benchmarks sample them.
 type Stats struct {
 	Ops          atomic.Int64
-	Retries      atomic.Int64 // StatusRetry responses observed
+	Retries      atomic.Int64 // waits on StatusRetry responses
 	MapRefreshes atomic.Int64
 	RPCs         atomic.Int64
 }
@@ -55,11 +59,6 @@ type Client struct {
 	indexlets atomic.Pointer[[]wire.Indexlet]
 
 	stats Stats
-
-	// SleepOnRetry controls whether the client honors RetryAfterMicros
-	// hints by sleeping (default true). Closed-loop benchmark drivers keep
-	// it on; tests may disable it.
-	SleepOnRetry bool
 }
 
 // New creates a client on the given endpoint and fetches the tablet map
@@ -72,7 +71,7 @@ func New(ctx context.Context, ep transport.Endpoint) (*Client, error) {
 // client's node (0 means the transport default); fault harnesses use
 // short ones so injected drops surface quickly.
 func NewWithTimeout(ctx context.Context, ep transport.Endpoint, timeout time.Duration) (*Client, error) {
-	c := &Client{node: transport.NewNodeWithTimeout(ep, timeout), SleepOnRetry: true}
+	c := &Client{node: transport.NewNodeWithTimeout(ep, timeout)}
 	c.node.Start()
 	if err := c.RefreshMap(ctx); err != nil {
 		c.node.Close()
@@ -108,65 +107,65 @@ func (c *Client) RefreshMap(ctx context.Context) error {
 	return nil
 }
 
-// ownerOf resolves the master for (table, hash) from the cached map.
-func (c *Client) ownerOf(table wire.TableID, hash uint64) (wire.ServerID, bool) {
-	tp := c.tablets.Load()
-	if tp == nil {
-		return 0, false
-	}
-	for i := range *tp {
-		t := &(*tp)[i]
-		if t.Table == table && t.Range.Contains(hash) {
-			return t.Master, true
+// ownerOf resolves the master for (table, hash) from the cached map,
+// refreshing the map once if it names none.
+func (c *Client) ownerOf(ctx context.Context, table wire.TableID, hash uint64) (wire.ServerID, error) {
+	for refreshed := false; ; refreshed = true {
+		tablets := *c.tablets.Load()
+		for i := range tablets {
+			if t := &tablets[i]; t.Table == table && t.Range.Contains(hash) {
+				return t.Master, nil
+			}
+		}
+		if refreshed {
+			return 0, ErrNoSuchTable
+		}
+		if err := c.RefreshMap(ctx); err != nil {
+			return 0, err
 		}
 	}
-	return 0, false
 }
 
-// indexletOf resolves the indexlet holding a secondary key.
-func (c *Client) indexletOf(id wire.IndexID, key []byte) (wire.Indexlet, bool) {
-	ip := c.indexlets.Load()
-	if ip == nil {
-		return wire.Indexlet{}, false
+// indexletOf resolves the indexlet holding a secondary key, refreshing the
+// cached map once if it names none.
+func (c *Client) indexletOf(ctx context.Context, id wire.IndexID, key []byte) (wire.Indexlet, error) {
+	for refreshed := false; ; refreshed = true {
+		for _, il := range *c.indexlets.Load() {
+			if il.Index == id && (len(il.Begin) == 0 || bytes.Compare(key, il.Begin) >= 0) &&
+				(len(il.End) == 0 || bytes.Compare(key, il.End) < 0) {
+				return il, nil
+			}
+		}
+		if refreshed {
+			return wire.Indexlet{}, ErrNoSuchTable
+		}
+		if err := c.RefreshMap(ctx); err != nil {
+			return wire.Indexlet{}, err
+		}
 	}
-	for i := range *ip {
-		il := &(*ip)[i]
-		if il.Index != id {
-			continue
-		}
-		if len(il.Begin) > 0 && bytes.Compare(key, il.Begin) < 0 {
-			continue
-		}
-		if len(il.End) > 0 && bytes.Compare(key, il.End) >= 0 {
-			continue
-		}
-		return *il, true
-	}
-	return wire.Indexlet{}, false
 }
 
-// backoff tracks retry waits within one operation: it starts at the
-// server's hint ("a few tens of microseconds", §3) and doubles up to
+// backoff is one operation's retry state: the map refreshes it has spent
+// against maxAttempts, and its waits on StatusRetry, which start at the
+// server's hint ("a few tens of microseconds", §3) and double up to
 // maxRetrySleep, bounding the CPU burned by retry storms while keeping
 // the first retry prompt.
 type backoff struct {
-	next     time.Duration
-	deadline time.Time
+	refreshes int
+	next      time.Duration
+	deadline  time.Time
 }
 
-func (c *Client) newBackoff() backoff {
+func newBackoff() backoff {
 	return backoff{deadline: time.Now().Add(retryBudget)}
 }
 
 // sleep waits before the next retry; it returns false once the budget is
 // exhausted or ctx is done, so a caller-imposed deadline cuts a retry
 // storm short immediately.
-func (b *backoff) sleep(ctx context.Context, c *Client, hintMicros uint32) bool {
+func (b *backoff) sleep(ctx context.Context, hintMicros uint32) bool {
 	if time.Now().After(b.deadline) || ctx.Err() != nil {
 		return false
-	}
-	if !c.SleepOnRetry {
-		return true
 	}
 	hint := time.Duration(hintMicros) * time.Microsecond
 	if hint == 0 {
@@ -185,6 +184,213 @@ func (b *backoff) sleep(ctx context.Context, c *Client, hintMicros uint32) bool 
 	return true
 }
 
+// Routing policy. route and fanOut apply the client's half of the
+// migration contract (§3) — a source that has handed a range off answers
+// WrongServer, a target still pulling it answers Retry with a hint — and
+// nothing else sends a data operation:
+//
+//  1. A key the cached map has no owner for refreshes the map once; still
+//     none is ErrNoSuchTable.
+//  2. A failed RPC refreshes the map and resends. A Delete is the
+//     exception: it may have landed, so its error is returned.
+//  3. StatusWrongServer refreshes the map; it spends one of maxAttempts.
+//  4. StatusRetry waits out the reply's hint (backoff.sleep); the wait
+//     spends no attempt, and retryBudget bounds the total.
+//  5. Any other non-OK status, top-level or per item, is a
+//     wire.StatusError. StatusNoSuchKey is an answer, not a failure:
+//     route returns ErrNoSuchKey, fanOut hands the item to its caller.
+
+// refresh re-fetches the map after a WrongServer reply or a failed RPC
+// (cause), spending one of the operation's maxAttempts. When the refresh
+// fails too, cause is what the caller sees, if there was one.
+func (c *Client) refresh(ctx context.Context, bo *backoff, cause error) error {
+	bo.refreshes++
+	if bo.refreshes >= maxAttempts {
+		return ErrRetriesExhausted
+	}
+	if err := c.RefreshMap(ctx); err != nil {
+		if cause != nil {
+			return cause
+		}
+		return err
+	}
+	return nil
+}
+
+// status checks that reply answers req and extracts its top-level status,
+// its per-item statuses (nil when the top-level status covers the whole
+// request) and its retry hint.
+func status(req, reply wire.Payload) (top wire.Status, items []wire.Status, hint uint32, err error) {
+	if reply != nil && reply.Op() == req.Op() {
+		switch r := reply.(type) {
+		case *wire.ReadResponse:
+			return r.Status, nil, r.RetryAfterMicros, nil
+		case *wire.WriteResponse:
+			return r.Status, nil, 0, nil
+		case *wire.DeleteResponse:
+			return r.Status, nil, 0, nil
+		case *wire.MultiGetResponse:
+			if r.Statuses != nil && len(r.Values) == len(r.Statuses) {
+				return r.Status, r.Statuses, r.RetryAfterMicros, nil
+			}
+		case *wire.MultiPutResponse:
+			if r.Statuses != nil {
+				return r.Status, r.Statuses, 0, nil
+			}
+		case *wire.MultiGetByHashResponse:
+			return r.Status, nil, r.RetryAfterMicros, nil
+		}
+	}
+	return 0, nil, 0, errors.New("client: bad " + req.Op().String() + " response")
+}
+
+// route sends req, a single-key request for (table, hash), to the key's
+// owner under the routing policy and returns the reply once it is OK.
+func (c *Client) route(ctx context.Context, table wire.TableID, hash uint64, req wire.Payload) (wire.Payload, error) {
+	bo := newBackoff()
+	for {
+		owner, err := c.ownerOf(ctx, table, hash)
+		if err != nil {
+			return nil, err
+		}
+		c.stats.RPCs.Add(1)
+		reply, err := c.node.Call(ctx, owner, wire.PriorityForeground, req)
+		if err != nil {
+			if req.Op() == wire.OpDelete {
+				return nil, err // it may have landed (rule 2)
+			}
+			if err := c.refresh(ctx, &bo, err); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		st, _, hint, err := status(req, reply)
+		if err != nil {
+			return nil, err
+		}
+		switch st {
+		case wire.StatusOK:
+			return reply, nil
+		case wire.StatusNoSuchKey:
+			return nil, ErrNoSuchKey
+		case wire.StatusWrongServer:
+			if err := c.refresh(ctx, &bo, nil); err != nil {
+				return nil, err
+			}
+		case wire.StatusRetry:
+			c.stats.Retries.Add(1)
+			if !bo.sleep(ctx, hint) {
+				return nil, ErrRetriesExhausted
+			}
+		default:
+			return nil, wire.StatusError{Status: st}
+		}
+	}
+}
+
+// fanOut sends a batch of items of one table, item i living at hashes[i],
+// under the routing policy. The outstanding items are grouped by owner,
+// build makes one request per owner from the indexes of the items it
+// carries, and every request is in flight at once. take decodes each
+// reply against the same indexes; it must skip items that are not OK,
+// because those that came back WrongServer or Retry, or whose RPC failed,
+// are regrouped and resent.
+func (c *Client) fanOut(ctx context.Context, table wire.TableID, hashes []uint64,
+	build func(idxs []int) wire.Payload, take func(idxs []int, reply wire.Payload)) error {
+	pending := make([]int, len(hashes))
+	for i := range pending {
+		pending[i] = i
+	}
+	bo := newBackoff()
+	for len(pending) > 0 {
+		groups := make(map[wire.ServerID][]int)
+		for _, i := range pending {
+			owner, err := c.ownerOf(ctx, table, hashes[i])
+			if err != nil {
+				return err
+			}
+			groups[owner] = append(groups[owner], i)
+		}
+		type flight struct {
+			req  wire.Payload
+			call *transport.Call
+			idxs []int
+		}
+		flights := make([]flight, 0, len(groups))
+		for owner, idxs := range groups {
+			req := build(idxs)
+			c.stats.RPCs.Add(1)
+			flights = append(flights, flight{req, c.node.Go(ctx, owner, wire.PriorityForeground, req), idxs})
+		}
+		pending = pending[:0]
+		var failed error
+		redirected, deferred := false, false
+		var hint uint32
+		for _, f := range flights {
+			reply, err := f.call.Wait()
+			if err != nil {
+				failed = err
+				pending = append(pending, f.idxs...)
+				continue
+			}
+			top, items, h, err := status(f.req, reply)
+			if err != nil {
+				return err
+			}
+			if items != nil && len(items) != len(f.idxs) {
+				return errors.New("client: bad " + f.req.Op().String() + " response")
+			}
+			// A per-item reply's top-level status summarises its items;
+			// anything else there (a failed replication) fails the batch.
+			if top != wire.StatusOK && top != wire.StatusWrongServer && top != wire.StatusRetry {
+				return wire.StatusError{Status: top}
+			}
+			for j, i := range f.idxs {
+				st := top
+				if items != nil {
+					st = items[j]
+				}
+				switch st {
+				case wire.StatusOK, wire.StatusNoSuchKey:
+				case wire.StatusWrongServer:
+					redirected = true
+					pending = append(pending, i)
+				case wire.StatusRetry:
+					deferred = true
+					hint = max(hint, h)
+					pending = append(pending, i)
+				default:
+					return wire.StatusError{Status: st}
+				}
+			}
+			if take != nil {
+				take(f.idxs, reply)
+			}
+		}
+		if failed != nil || redirected {
+			if err := c.refresh(ctx, &bo, failed); err != nil {
+				return err
+			}
+		}
+		if deferred {
+			c.stats.Retries.Add(1)
+			if !bo.sleep(ctx, hint) {
+				return ErrRetriesExhausted
+			}
+		}
+	}
+	return nil
+}
+
+// hashKeys returns the primary-key hash of each key.
+func hashKeys(keys [][]byte) []uint64 {
+	hashes := make([]uint64, len(keys))
+	for i, k := range keys {
+		hashes[i] = wire.HashKey(k)
+	}
+	return hashes
+}
+
 // Read fetches one object.
 func (c *Client) Read(ctx context.Context, table wire.TableID, key []byte) ([]byte, error) {
 	v, _, err := c.ReadVersioned(ctx, table, key)
@@ -196,143 +402,26 @@ func (c *Client) Read(ctx context.Context, table wire.TableID, key []byte) ([]by
 // migrations and recoveries.
 func (c *Client) ReadVersioned(ctx context.Context, table wire.TableID, key []byte) ([]byte, uint64, error) {
 	c.stats.Ops.Add(1)
-	hash := wire.HashKey(key)
-	bo := c.newBackoff()
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		owner, ok := c.ownerOf(table, hash)
-		if !ok {
-			if err := c.RefreshMap(ctx); err != nil {
-				return nil, 0, err
-			}
-			if _, ok = c.ownerOf(table, hash); !ok {
-				return nil, 0, ErrNoSuchTable
-			}
-			continue
-		}
-		c.stats.RPCs.Add(1)
-		reply, err := c.node.Call(ctx, owner, wire.PriorityForeground, &wire.ReadRequest{Table: table, Key: key})
-		if err != nil {
-			if refreshErr := c.RefreshMap(ctx); refreshErr != nil {
-				return nil, 0, err
-			}
-			continue
-		}
-		resp, ok := reply.(*wire.ReadResponse)
-		if !ok {
-			return nil, 0, errors.New("client: bad read response")
-		}
-		switch resp.Status {
-		case wire.StatusOK:
-			return resp.Value, resp.Version, nil
-		case wire.StatusNoSuchKey:
-			return nil, 0, ErrNoSuchKey
-		case wire.StatusWrongServer:
-			if err := c.RefreshMap(ctx); err != nil {
-				return nil, 0, err
-			}
-		case wire.StatusRetry:
-			c.stats.Retries.Add(1)
-			if !bo.sleep(ctx, c, resp.RetryAfterMicros) {
-				return nil, 0, ErrRetriesExhausted
-			}
-			attempt-- // retry hints don't consume the redirect budget
-		default:
-			return nil, 0, wire.StatusError{Status: resp.Status}
-		}
+	reply, err := c.route(ctx, table, wire.HashKey(key), &wire.ReadRequest{Table: table, Key: key})
+	if err != nil {
+		return nil, 0, err
 	}
-	return nil, 0, ErrRetriesExhausted
+	resp := reply.(*wire.ReadResponse)
+	return resp.Value, resp.Version, nil
 }
 
 // Write stores one object durably.
 func (c *Client) Write(ctx context.Context, table wire.TableID, key, value []byte) error {
 	c.stats.Ops.Add(1)
-	hash := wire.HashKey(key)
-	bo := c.newBackoff()
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		owner, ok := c.ownerOf(table, hash)
-		if !ok {
-			if err := c.RefreshMap(ctx); err != nil {
-				return err
-			}
-			if _, ok = c.ownerOf(table, hash); !ok {
-				return ErrNoSuchTable
-			}
-			continue
-		}
-		c.stats.RPCs.Add(1)
-		reply, err := c.node.Call(ctx, owner, wire.PriorityForeground, &wire.WriteRequest{Table: table, Key: key, Value: value})
-		if err != nil {
-			if refreshErr := c.RefreshMap(ctx); refreshErr != nil {
-				return err
-			}
-			continue
-		}
-		resp, ok := reply.(*wire.WriteResponse)
-		if !ok {
-			return errors.New("client: bad write response")
-		}
-		switch resp.Status {
-		case wire.StatusOK:
-			return nil
-		case wire.StatusWrongServer:
-			if err := c.RefreshMap(ctx); err != nil {
-				return err
-			}
-		case wire.StatusRetry:
-			c.stats.Retries.Add(1)
-			if !bo.sleep(ctx, c, 0) {
-				return ErrRetriesExhausted
-			}
-			attempt--
-		default:
-			return wire.StatusError{Status: resp.Status}
-		}
-	}
-	return ErrRetriesExhausted
+	_, err := c.route(ctx, table, wire.HashKey(key), &wire.WriteRequest{Table: table, Key: key, Value: value})
+	return err
 }
 
 // Delete removes one object durably.
 func (c *Client) Delete(ctx context.Context, table wire.TableID, key []byte) error {
 	c.stats.Ops.Add(1)
-	hash := wire.HashKey(key)
-	bo := c.newBackoff()
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		owner, ok := c.ownerOf(table, hash)
-		if !ok {
-			if err := c.RefreshMap(ctx); err != nil {
-				return err
-			}
-			continue
-		}
-		c.stats.RPCs.Add(1)
-		reply, err := c.node.Call(ctx, owner, wire.PriorityForeground, &wire.DeleteRequest{Table: table, Key: key})
-		if err != nil {
-			return err
-		}
-		resp, ok := reply.(*wire.DeleteResponse)
-		if !ok {
-			return errors.New("client: bad delete response")
-		}
-		switch resp.Status {
-		case wire.StatusOK:
-			return nil
-		case wire.StatusNoSuchKey:
-			return ErrNoSuchKey
-		case wire.StatusWrongServer:
-			if err := c.RefreshMap(ctx); err != nil {
-				return err
-			}
-		case wire.StatusRetry:
-			c.stats.Retries.Add(1)
-			if !bo.sleep(ctx, c, 0) {
-				return ErrRetriesExhausted
-			}
-			attempt--
-		default:
-			return wire.StatusError{Status: resp.Status}
-		}
-	}
-	return ErrRetriesExhausted
+	_, err := c.route(ctx, table, wire.HashKey(key), &wire.DeleteRequest{Table: table, Key: key})
+	return err
 }
 
 // MultiGet fetches several keys of one table, grouping them by owning
@@ -341,181 +430,47 @@ func (c *Client) Delete(ctx context.Context, table wire.TableID, key []byte) err
 func (c *Client) MultiGet(ctx context.Context, table wire.TableID, keys [][]byte) ([][]byte, error) {
 	c.stats.Ops.Add(1)
 	values := make([][]byte, len(keys))
-	remaining := make([]int, len(keys))
-	for i := range keys {
-		remaining[i] = i
-	}
-	bo := c.newBackoff()
-	for attempt := 0; attempt < maxAttempts && len(remaining) > 0; attempt++ {
-		// Group outstanding keys by owner.
-		groups := make(map[wire.ServerID][]int)
-		needRefresh := false
-		for _, i := range remaining {
-			owner, ok := c.ownerOf(table, wire.HashKey(keys[i]))
-			if !ok {
-				needRefresh = true
-				continue
-			}
-			groups[owner] = append(groups[owner], i)
+	err := c.fanOut(ctx, table, hashKeys(keys), func(idxs []int) wire.Payload {
+		req := &wire.MultiGetRequest{Table: table, Keys: make([][]byte, len(idxs))}
+		for j, i := range idxs {
+			req.Keys[j] = keys[i]
 		}
-		if needRefresh {
-			if err := c.RefreshMap(ctx); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		type pending struct {
-			call *transport.Call
-			idxs []int
-		}
-		calls := make([]pending, 0, len(groups))
-		for owner, idxs := range groups {
-			req := &wire.MultiGetRequest{Table: table, Keys: make([][]byte, len(idxs))}
-			for j, i := range idxs {
-				req.Keys[j] = keys[i]
-			}
-			c.stats.RPCs.Add(1)
-			calls = append(calls, pending{call: c.node.Go(ctx, owner, wire.PriorityForeground, req), idxs: idxs})
-		}
-		var retryHint uint32
-		var next []int
-		refresh := false
-		for _, p := range calls {
-			reply, err := p.call.Wait()
-			if err != nil {
-				refresh = true
-				next = append(next, p.idxs...)
-				continue
-			}
-			resp, ok := reply.(*wire.MultiGetResponse)
-			if !ok {
-				return nil, errors.New("client: bad multiget response")
-			}
-			for j, i := range p.idxs {
-				switch resp.Statuses[j] {
-				case wire.StatusOK:
-					values[i] = resp.Values[j]
-				case wire.StatusNoSuchKey:
-					values[i] = nil
-				case wire.StatusWrongServer:
-					refresh = true
-					next = append(next, i)
-				case wire.StatusRetry:
-					c.stats.Retries.Add(1)
-					if resp.RetryAfterMicros > retryHint {
-						retryHint = resp.RetryAfterMicros
-					}
-					if retryHint == 0 {
-						retryHint = 40
-					}
-					next = append(next, i)
-				default:
-					return nil, wire.StatusError{Status: resp.Statuses[j]}
-				}
+		return req
+	}, func(idxs []int, reply wire.Payload) {
+		resp := reply.(*wire.MultiGetResponse)
+		for j, i := range idxs {
+			if resp.Statuses[j] == wire.StatusOK {
+				values[i] = resp.Values[j]
 			}
 		}
-		remaining = next
-		if refresh {
-			if err := c.RefreshMap(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if retryHint > 0 {
-			if !bo.sleep(ctx, c, retryHint) {
-				return nil, ErrRetriesExhausted
-			}
-			attempt--
-		}
-	}
-	if len(remaining) > 0 {
-		return nil, ErrRetriesExhausted
+	})
+	if err != nil {
+		return nil, err
 	}
 	return values, nil
 }
 
-// MultiPut stores several objects of one table, grouped by owner.
+// MultiPut stores several objects of one table, grouping them by owning
+// server and issuing the per-server RPCs in parallel.
 func (c *Client) MultiPut(ctx context.Context, table wire.TableID, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return errors.New("client: keys/values length mismatch")
 	}
 	c.stats.Ops.Add(1)
-	remaining := make([]int, len(keys))
-	for i := range keys {
-		remaining[i] = i
-	}
-	for attempt := 0; attempt < maxAttempts && len(remaining) > 0; attempt++ {
-		groups := make(map[wire.ServerID][]int)
-		for _, i := range remaining {
-			owner, ok := c.ownerOf(table, wire.HashKey(keys[i]))
-			if !ok {
-				if err := c.RefreshMap(ctx); err != nil {
-					return err
-				}
-				groups = nil
-				break
-			}
-			groups[owner] = append(groups[owner], i)
+	return c.fanOut(ctx, table, hashKeys(keys), func(idxs []int) wire.Payload {
+		req := &wire.MultiPutRequest{Table: table, Keys: make([][]byte, len(idxs)), Values: make([][]byte, len(idxs))}
+		for j, i := range idxs {
+			req.Keys[j], req.Values[j] = keys[i], values[i]
 		}
-		if groups == nil {
-			continue
-		}
-		var next []int
-		refresh := false
-		for owner, idxs := range groups {
-			req := &wire.MultiPutRequest{
-				Table:  table,
-				Keys:   make([][]byte, len(idxs)),
-				Values: make([][]byte, len(idxs)),
-			}
-			for j, i := range idxs {
-				req.Keys[j] = keys[i]
-				req.Values[j] = values[i]
-			}
-			c.stats.RPCs.Add(1)
-			reply, err := c.node.Call(ctx, owner, wire.PriorityForeground, req)
-			if err != nil {
-				refresh = true
-				next = append(next, idxs...)
-				continue
-			}
-			resp, ok := reply.(*wire.MultiPutResponse)
-			if !ok {
-				return errors.New("client: bad multiput response")
-			}
-			for j, i := range idxs {
-				switch resp.Statuses[j] {
-				case wire.StatusOK:
-				case wire.StatusWrongServer, wire.StatusRetry:
-					refresh = refresh || resp.Statuses[j] == wire.StatusWrongServer
-					next = append(next, i)
-				default:
-					return wire.StatusError{Status: resp.Statuses[j]}
-				}
-			}
-		}
-		remaining = next
-		if refresh {
-			if err := c.RefreshMap(ctx); err != nil {
-				return err
-			}
-		}
-	}
-	if len(remaining) > 0 {
-		return ErrRetriesExhausted
-	}
-	return nil
+		return req
+	}, nil)
 }
 
 // IndexInsert adds (secondaryKey -> primary key) to an index.
 func (c *Client) IndexInsert(ctx context.Context, id wire.IndexID, secondaryKey, primaryKey []byte) error {
-	il, ok := c.indexletOf(id, secondaryKey)
-	if !ok {
-		if err := c.RefreshMap(ctx); err != nil {
-			return err
-		}
-		if il, ok = c.indexletOf(id, secondaryKey); !ok {
-			return ErrNoSuchTable
-		}
+	il, err := c.indexletOf(ctx, id, secondaryKey)
+	if err != nil {
+		return err
 	}
 	c.stats.RPCs.Add(1)
 	reply, err := c.node.Call(ctx, il.Master, wire.PriorityForeground, &wire.IndexInsertRequest{
@@ -544,14 +499,9 @@ type ScanResult struct {
 // back the hashes — the dispatch amplification Figure 4 measures.
 func (c *Client) IndexScan(ctx context.Context, table wire.TableID, id wire.IndexID, begin, end []byte, limit int) ([]ScanResult, error) {
 	c.stats.Ops.Add(1)
-	il, ok := c.indexletOf(id, begin)
-	if !ok {
-		if err := c.RefreshMap(ctx); err != nil {
-			return nil, err
-		}
-		if il, ok = c.indexletOf(id, begin); !ok {
-			return nil, ErrNoSuchTable
-		}
+	il, err := c.indexletOf(ctx, id, begin)
+	if err != nil {
+		return nil, err
 	}
 	c.stats.RPCs.Add(1)
 	reply, err := c.node.Call(ctx, il.Master, wire.PriorityForeground, &wire.IndexLookupRequest{
@@ -564,98 +514,46 @@ func (c *Client) IndexScan(ctx context.Context, table wire.TableID, id wire.Inde
 	if !ok || lookup.Status != wire.StatusOK {
 		return nil, errors.New("client: index lookup failed")
 	}
-	if len(lookup.Hashes) == 0 {
-		return nil, nil
+	order := make(map[uint64]int, len(lookup.Hashes))
+	for i, h := range lookup.Hashes {
+		if _, ok := order[h]; !ok {
+			order[h] = i
+		}
 	}
-
-	// Fan out by owning tablet.
-	bo := c.newBackoff()
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		groups := make(map[wire.ServerID][]uint64)
-		stale := false
-		for _, h := range lookup.Hashes {
-			owner, ok := c.ownerOf(table, h)
-			if !ok {
-				stale = true
-				break
-			}
-			groups[owner] = append(groups[owner], h)
-		}
-		if stale {
-			if err := c.RefreshMap(ctx); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		type pending struct{ call *transport.Call }
-		var calls []pending
-		for owner, hashes := range groups {
-			c.stats.RPCs.Add(1)
-			calls = append(calls, pending{call: c.node.Go(ctx, owner, wire.PriorityForeground,
-				&wire.MultiGetByHashRequest{Table: table, Hashes: hashes})})
-		}
-		order := make(map[uint64]int, len(lookup.Hashes))
-		for i, h := range lookup.Hashes {
-			if _, ok := order[h]; !ok {
-				order[h] = i
-			}
-		}
-		type rankedResult struct {
-			res  ScanResult
-			rank int
-		}
-		var out []rankedResult
-		retry := false
-		var retryHint uint32
-		for _, p := range calls {
-			reply, err := p.call.Wait()
-			if err != nil {
-				retry = true
-				continue
-			}
-			resp, ok := reply.(*wire.MultiGetByHashResponse)
-			if !ok {
-				return nil, errors.New("client: bad multiget-by-hash response")
-			}
-			switch resp.Status {
-			case wire.StatusOK:
-				for _, rec := range resp.Records {
-					out = append(out, rankedResult{
-						res:  ScanResult{Key: rec.Key, Value: rec.Value, Version: rec.Version},
-						rank: order[wire.HashKey(rec.Key)],
-					})
-				}
-			case wire.StatusRetry:
-				c.stats.Retries.Add(1)
-				retry = true
-				if resp.RetryAfterMicros > retryHint {
-					retryHint = resp.RetryAfterMicros
-				}
-			case wire.StatusWrongServer:
-				retry = true
-				if err := c.RefreshMap(ctx); err != nil {
-					return nil, err
-				}
-			default:
-				return nil, wire.StatusError{Status: resp.Status}
-			}
-		}
-		if !retry {
-			// Restore secondary-key order: the fan-out interleaves servers,
-			// but the indexlet returned hashes in key order.
-			sort.SliceStable(out, func(i, j int) bool { return out[i].rank < out[j].rank })
-			results := make([]ScanResult, len(out))
-			for i, r := range out {
-				results[i] = r.res
-			}
-			return results, nil
-		}
-		if !bo.sleep(ctx, c, retryHint) {
-			return nil, ErrRetriesExhausted
-		}
-		attempt--
+	type rankedResult struct {
+		res  ScanResult
+		rank int
 	}
-	return nil, ErrRetriesExhausted
+	var out []rankedResult
+	err = c.fanOut(ctx, table, lookup.Hashes, func(idxs []int) wire.Payload {
+		req := &wire.MultiGetByHashRequest{Table: table, Hashes: make([]uint64, len(idxs))}
+		for j, i := range idxs {
+			req.Hashes[j] = lookup.Hashes[i]
+		}
+		return req
+	}, func(_ []int, reply wire.Payload) {
+		resp := reply.(*wire.MultiGetByHashResponse)
+		if resp.Status != wire.StatusOK {
+			return
+		}
+		for _, rec := range resp.Records {
+			out = append(out, rankedResult{
+				res:  ScanResult{Key: rec.Key, Value: rec.Value, Version: rec.Version},
+				rank: order[wire.HashKey(rec.Key)],
+			})
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Restore secondary-key order: the fan-out interleaves servers, but the
+	// indexlet returned hashes in key order.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].rank < out[j].rank })
+	results := make([]ScanResult, len(out))
+	for i, r := range out {
+		results[i] = r.res
+	}
+	return results, nil
 }
 
 // MigrateTablet asks target to live-migrate (table, rng) away from source

@@ -47,13 +47,61 @@ func TestClientReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestClientUnknownTable: every data operation on a table the map does not
+// know refreshes the map once and gives up with ErrNoSuchTable, rather
+// than spending its whole redirect budget on refreshes.
 func TestClientUnknownTable(t *testing.T) {
 	_, cl := newTestCluster(t, 1)
-	if _, err := cl.Read(context.Background(), 99, []byte("k")); err != client.ErrNoSuchTable {
-		t.Fatalf("read unknown table: %v", err)
+	ctx := context.Background()
+	k, v := [][]byte{[]byte("k")}, [][]byte{[]byte("v")}
+	ops := []struct {
+		name string
+		op   func() error
+	}{
+		{"read", func() error { _, err := cl.Read(ctx, 99, k[0]); return err }},
+		{"write", func() error { return cl.Write(ctx, 99, k[0], v[0]) }},
+		{"delete", func() error { return cl.Delete(ctx, 99, k[0]) }},
+		{"multiget", func() error { _, err := cl.MultiGet(ctx, 99, k); return err }},
+		{"multiput", func() error { return cl.MultiPut(ctx, 99, k, v) }},
 	}
-	if err := cl.Write(context.Background(), 99, []byte("k"), []byte("v")); err != client.ErrNoSuchTable {
-		t.Fatalf("write unknown table: %v", err)
+	for _, o := range ops {
+		before := cl.Stats().MapRefreshes.Load()
+		if err := o.op(); err != client.ErrNoSuchTable {
+			t.Errorf("%s unknown table: %v", o.name, err)
+		}
+		if n := cl.Stats().MapRefreshes.Load() - before; n > 2 {
+			t.Errorf("%s unknown table: %d map refreshes", o.name, n)
+		}
+	}
+}
+
+// TestClientMultiPutReportsReplicationFailure: with the only backup gone a
+// write cannot be made durable, and MultiPut must say so exactly as Write
+// does instead of treating the batch's per-item OKs as success.
+func TestClientMultiPutReportsReplicationFailure(t *testing.T) {
+	c := cluster.New(cluster.Config{
+		Servers:           2,
+		Workers:           2,
+		SegmentSize:       64 << 10,
+		HashTableCapacity: 1 << 14,
+		ReplicationFactor: 1,
+		Quiet:             true,
+	})
+	t.Cleanup(c.Close)
+	cl := c.MustClient()
+	ctx := context.Background()
+	table, err := cl.CreateTable(ctx, "t", c.Server(0).ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(1)
+	writeErr := cl.Write(ctx, table, []byte("k"), []byte("v"))
+	if writeErr == nil {
+		t.Fatal("write acknowledged without its only backup")
+	}
+	err = cl.MultiPut(ctx, table, [][]byte{[]byte("k1"), []byte("k2")}, [][]byte{[]byte("v1"), []byte("v2")})
+	if err == nil || err.Error() != writeErr.Error() {
+		t.Fatalf("multiput = %v, write = %v", err, writeErr)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"rocksteady/internal/client"
 	"rocksteady/internal/core"
+	"rocksteady/internal/server"
 	"rocksteady/internal/transport"
 	"rocksteady/internal/wire"
 )
@@ -873,6 +874,52 @@ func TestSequentialMigrationsRoundTrip(t *testing.T) {
 	// All data must live on server 1 (last hop target), none on server 0.
 	if n, _ := c.Server(0).HashTable().CountRange(table, wire.FullRange()); n != 0 {
 		t.Errorf("server 0 still holds %d records", n)
+	}
+}
+
+// TestMigrateBackClearsStaleCopy: a migration drops its source's copy with
+// one best-effort attempt, so a source can keep a stale copy of a range it
+// gave away. When the range migrates back, that copy must not resurrect a
+// key deleted in the meantime: replay is newest-wins, and a deleted key
+// ships no record to beat the stale one.
+func TestMigrateBackClearsStaleCopy(t *testing.T) {
+	c := testCluster(t, Config{Servers: 2})
+	cl := c.MustClient()
+	ctx := context.Background()
+	table, err := cl.CreateTable(ctx, "t", c.Server(0).ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, values := loadN(t, c, table, 100)
+	migrate := func(from, to int) {
+		t.Helper()
+		g, err := c.Migrate(ctx, table, wire.FullRange(), from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := g.Wait(); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	migrate(0, 1)
+	// What a drop that never landed leaves behind on the old source.
+	old := c.Server(0)
+	old.RegisterTablet(table, wire.FullRange(), server.TabletMigratingOut)
+	ref, _, err := old.Log().AppendObject(table, keys[0], values[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.HashTable().Put(table, keys[0], wire.HashKey(keys[0]), ref)
+
+	if err := cl.Delete(ctx, table, keys[0]); err != nil {
+		t.Fatal(err)
+	}
+	migrate(1, 0)
+	if v, err := cl.Read(ctx, table, keys[0]); err != client.ErrNoSuchKey {
+		t.Fatalf("deleted key after migrating back: %q %v", v, err)
+	}
+	if v, err := cl.Read(ctx, table, keys[1]); err != nil || string(v) != string(values[1]) {
+		t.Fatalf("live key after migrating back: %q %v", v, err)
 	}
 }
 

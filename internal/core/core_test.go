@@ -185,6 +185,26 @@ func TestCancelUnblocksPriorityPullDrain(t *testing.T) {
 	}
 }
 
+// TestNoPriorityPullAfterPulls: once every background Pull has been
+// replayed, a key absent at the target is absent at the source too, so a
+// read of it is answered "missing" and starts no PriorityPull — whose
+// replay would race the epilogue committing the side logs.
+func TestNoPriorityPullAfterPulls(t *testing.T) {
+	m, _ := newManagerRig(t, Options{})
+	g := newMigration(context.Background(), m, 1, wire.FullRange(), 99)
+	g.ppMu.Lock()
+	g.ppPulled = true
+	g.ppMu.Unlock()
+	if retry, missing := g.requestPriorityPull(42); !missing || retry != 0 {
+		t.Fatalf("after the pulls: retry=%d missing=%v", retry, missing)
+	}
+	g.ppMu.Lock()
+	defer g.ppMu.Unlock()
+	if g.ppActive || len(g.ppQueued) != 0 {
+		t.Fatal("a PriorityPull started after the background pulls finished")
+	}
+}
+
 // TestCancelUnblocksRun: in PriorityPull-only mode run() parks on the
 // cancellation channel; fail() must release it promptly (event-driven, no
 // polling).

@@ -58,6 +58,11 @@ type Migration struct {
 	ppMissing  map[uint64]struct{}
 	ppActive   bool
 	ppDrained  *sync.Cond
+	// ppPulled is set once every background Pull has been replayed: from
+	// then on a key absent here is absent at the source too, so no
+	// PriorityPull may start and replay into side logs the epilogue is
+	// committing.
+	ppPulled bool
 
 	started  time.Time
 	finished time.Time
@@ -185,6 +190,10 @@ func (g *Migration) begin() wire.Status {
 	// Adopt the source's version ceiling before any write can land, so
 	// target-issued versions always beat every pulled record (§3).
 	srv.Log().BumpVersionTo(g.ceiling)
+	// The source owns the range, so anything this server still holds of it
+	// is a stale copy from an earlier ownership whose drop never landed.
+	// Replay is newest-wins, so a key deleted since would resurrect.
+	srv.DropTablet(g.Table, g.Range)
 
 	if g.opts.SourceRetainsOwnership {
 		// Ownership flips only at the end; the target pulls quietly.
@@ -294,6 +303,9 @@ func (g *Migration) run() {
 	}
 	wg.Wait()
 	g.replayWG.Wait()
+	g.ppMu.Lock()
+	g.ppPulled = g.ctx.Err() == nil
+	g.ppMu.Unlock()
 	g.drainPriorityPulls()
 }
 
@@ -536,25 +548,30 @@ func (g *Migration) complete() {
 		}
 	}
 
-	// The epilogue RPCs are idempotent (dependency removal, tablet drop),
-	// so transport faults get retried rather than failing a migration whose
-	// data is already durably re-replicated.
+	// Dependency removal is idempotent, so transport faults get retried
+	// rather than failing a migration whose data is already durably
+	// re-replicated.
 	if _, err := srv.Node().CallWithRetries(g.ctx, wire.CoordinatorID, wire.PriorityForeground, &wire.MigrateDoneRequest{
 		Table: g.Table, Range: g.Range, Source: g.Source, Target: srv.ID(),
 	}, transport.DefaultRetryPolicy()); err != nil {
 		g.fail(err)
 		return
 	}
-	if _, err := srv.Node().CallWithRetries(g.ctx, g.Source, wire.PriorityForeground, &wire.DropTabletRequest{
+	// The source's copy is garbage from here on. Dropping it is one
+	// best-effort attempt, never retried: a retry goes out only after a
+	// full RPC timeout, by which time the range may have migrated back to
+	// the source, and the drop would discard the new owner's data. A copy
+	// left behind is cleared by the next migration that brings the range
+	// back there (begin).
+	_, _ = srv.Node().Call(g.ctx, g.Source, wire.PriorityForeground, &wire.DropTabletRequest{
 		Table: g.Table, Range: g.Range,
-	}, transport.DefaultRetryPolicy()); err != nil {
-		g.fail(err)
-		return
-	}
+	})
 	// Replay has quiesced: deletions parked in the hash table during the
 	// migration can leave it.
 	srv.HashTable().RemoveTombstoneRefs(g.Table, g.Range)
-	srv.SetTabletState(g.Table, g.Range, server.TabletNormal)
+	// Only entries still migrating in: if a newer migration has already
+	// prepared this range to leave again, its MigratingOut must stand.
+	srv.SetTabletState(g.Table, g.Range, server.TabletMigratingIn, server.TabletNormal)
 }
 
 // completeRetainOwnership is the Figure 9(c) epilogue: freeze the source,

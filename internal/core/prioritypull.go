@@ -13,7 +13,7 @@ import (
 // the worker on a single-hash pull.
 func (g *Migration) requestPriorityPull(hash uint64) (retryMicros uint32, knownMissing bool) {
 	g.ppMu.Lock()
-	if _, ok := g.ppMissing[hash]; ok {
+	if _, ok := g.ppMissing[hash]; ok || g.ppPulled {
 		g.ppMu.Unlock()
 		return 0, true
 	}
@@ -30,7 +30,7 @@ func (g *Migration) requestPriorityPull(hash uint64) (retryMicros uint32, knownM
 
 	g.ppMu.Lock()
 	defer g.ppMu.Unlock()
-	if _, ok := g.ppMissing[hash]; ok {
+	if _, ok := g.ppMissing[hash]; ok || g.ppPulled {
 		return 0, true
 	}
 	// De-duplicate: a hash already queued or in flight is never requested

@@ -722,13 +722,10 @@ func (s *Server) handlePrepareMigration(req *wire.PrepareMigrationRequest) *wire
 		// the boundary materializes exactly now — never earlier.
 		s.RegisterTablet(req.Table, req.Range, TabletMigratingOut)
 	}
-	count, bytes := s.ht.CountRange(req.Table, req.Range)
 	return &wire.PrepareMigrationResponse{
 		Status:         wire.StatusOK,
 		VersionCeiling: s.log.CurrentVersion(),
 		NumBuckets:     s.ht.NumBuckets(),
-		RecordCount:    count,
-		ByteCount:      bytes,
 		// Epoch watermark: every write that could land after this reply
 		// carries a larger epoch, on any shard head. The target's PullTail
 		// uses it to catch up on exactly the writes that raced migration.
@@ -743,7 +740,7 @@ func (s *Server) handlePrepareMigration(req *wire.PrepareMigrationRequest) *wire
 // migrating-out state and the scan changes nothing — so the target retries
 // it freely whenever the prologue outcome is in doubt.
 func (s *Server) handleAbortMigration(req *wire.AbortMigrationRequest) *wire.AbortMigrationResponse {
-	s.abortMigratingOut(req.Table, req.Range)
+	s.SetTabletState(req.Table, req.Range, TabletMigratingOut, TabletNormal)
 	return &wire.AbortMigrationResponse{Status: wire.StatusOK}
 }
 

@@ -97,7 +97,7 @@ func TestServerMigratingOutRejectsClientOps(t *testing.T) {
 	r.call(t, &wire.WriteRequest{Table: 1, Key: []byte("k"), Value: []byte("v")})
 
 	prep := r.call(t, &wire.PrepareMigrationRequest{Table: 1, Range: wire.FullRange(), Target: 11}).(*wire.PrepareMigrationResponse)
-	if prep.Status != wire.StatusOK || prep.RecordCount != 1 || prep.VersionCeiling == 0 {
+	if prep.Status != wire.StatusOK || prep.VersionCeiling == 0 {
 		t.Fatalf("prepare: %+v", prep)
 	}
 	rd := r.call(t, &wire.ReadRequest{Table: 1, Key: []byte("k")}).(*wire.ReadResponse)
@@ -108,6 +108,29 @@ func TestServerMigratingOutRejectsClientOps(t *testing.T) {
 	pull := r.call(t, &wire.PullRequest{Table: 1, Range: wire.FullRange(), ByteBudget: 1 << 20}).(*wire.PullResponse)
 	if pull.Status != wire.StatusOK || len(pull.Records) != 1 || !pull.Done {
 		t.Fatalf("pull: %+v", pull)
+	}
+}
+
+// TestServerMigrateBackKeepsMigratingOut replays a range migrating back
+// before the migration that brought it here has finished: this server is
+// the target of migration A (MigratingIn) and already the source of
+// migration B (prepared, MigratingOut) when A's epilogue flips its own
+// MigratingIn entries to Normal. B's state must stand — a server that
+// resumed serving the range would acknowledge writes that B's DropTablet
+// later throws away.
+func TestServerMigrateBackKeepsMigratingOut(t *testing.T) {
+	r := newRig(t, Config{})
+	r.srv.RegisterTablet(1, wire.FullRange(), TabletMigratingIn)
+	prep := r.call(t, &wire.PrepareMigrationRequest{Table: 1, Range: wire.FullRange(), Target: 11}).(*wire.PrepareMigrationResponse)
+	if prep.Status != wire.StatusOK {
+		t.Fatalf("prepare: %+v", prep)
+	}
+	if r.srv.SetTabletState(1, wire.FullRange(), TabletMigratingIn, TabletNormal) {
+		t.Fatal("A's epilogue changed an entry that was no longer migrating in")
+	}
+	w := r.call(t, &wire.WriteRequest{Table: 1, Key: []byte("k"), Value: []byte("v")}).(*wire.WriteResponse)
+	if w.Status != wire.StatusWrongServer {
+		t.Fatalf("write to a range prepared for migration: %+v", w)
 	}
 }
 

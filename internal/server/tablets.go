@@ -74,9 +74,13 @@ func (s *Server) RegisterTablet(table wire.TableID, rng wire.HashRange, state Ta
 	s.tablets.Store(&tabletMap{entries: next})
 }
 
-// DropTablet forgets (table, rng) and discards its records.
+// DropTablet forgets (table, rng) and discards its records. The records go
+// before tabletMu is released: a migration that registers the range here
+// again (migrating it straight back) must not have the records it pulls or
+// the writes it acknowledges swept away by the tail of this drop.
 func (s *Server) DropTablet(table wire.TableID, rng wire.HashRange) int {
 	s.tabletMu.Lock()
+	defer s.tabletMu.Unlock()
 	cur := s.tablets.Load()
 	kept := make([]tabletEntry, 0, len(cur.entries))
 	for _, t := range cur.entries {
@@ -86,38 +90,17 @@ func (s *Server) DropTablet(table wire.TableID, rng wire.HashRange) int {
 		kept = append(kept, t)
 	}
 	s.tablets.Store(&tabletMap{entries: kept})
-	s.tabletMu.Unlock()
 	return s.ht.RemoveRange(table, rng, func(ref storage.Ref) { s.log.MarkDead(ref) })
 }
 
-// SetTabletState transitions a registered tablet (and any sub-tablets the
-// range covers). Copy-on-write: a reader mid-request keeps routing off the
-// old snapshot; the next request sees the new state.
-func (s *Server) SetTabletState(table wire.TableID, rng wire.HashRange, state TabletState) bool {
-	s.tabletMu.Lock()
-	defer s.tabletMu.Unlock()
-	cur := s.tablets.Load()
-	next := make([]tabletEntry, len(cur.entries))
-	copy(next, cur.entries)
-	found := false
-	for i := range next {
-		t := &next[i]
-		if t.table == table && rng.ContainsRange(t.rng) {
-			t.state = state
-			found = true
-		}
-	}
-	if found {
-		s.tablets.Store(&tabletMap{entries: next})
-	}
-	return found
-}
-
-// abortMigratingOut flips every tablet inside the range still marked
-// migrating-out back to normal service (the AbortMigration handler).
-// Idempotent: when nothing is migrating-out the snapshot is republished
-// unchanged.
-func (s *Server) abortMigratingOut(table wire.TableID, rng wire.HashRange) {
+// SetTabletState moves every tablet inside rng that is in state from to
+// state to, and reports whether any was. Entries in another state are left
+// alone: a transition decided earlier must not overwrite one made since —
+// a migration finishing on a range that a newer migration has already
+// started moving away again would otherwise resume serving it.
+// Copy-on-write: a reader mid-request keeps routing off the old snapshot;
+// the next request sees the new state.
+func (s *Server) SetTabletState(table wire.TableID, rng wire.HashRange, from, to TabletState) bool {
 	s.tabletMu.Lock()
 	defer s.tabletMu.Unlock()
 	cur := s.tablets.Load()
@@ -126,14 +109,15 @@ func (s *Server) abortMigratingOut(table wire.TableID, rng wire.HashRange) {
 	changed := false
 	for i := range next {
 		t := &next[i]
-		if t.table == table && rng.ContainsRange(t.rng) && t.state == TabletMigratingOut {
-			t.state = TabletNormal
+		if t.table == table && rng.ContainsRange(t.rng) && t.state == from {
+			t.state = to
 			changed = true
 		}
 	}
 	if changed {
 		s.tablets.Store(&tabletMap{entries: next})
 	}
+	return changed
 }
 
 // SplitTablet materializes a boundary at (table, at) in the server's own

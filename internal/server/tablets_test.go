@@ -178,7 +178,7 @@ func TestServerMergeRefusals(t *testing.T) {
 	if srv.MergeTablets(1, 1<<63) {
 		t.Fatal("merged across a state boundary")
 	}
-	if !srv.SetTabletState(1, wire.HashRange{Start: 1 << 63, End: ^uint64(0)}, TabletNormal) {
+	if !srv.SetTabletState(1, wire.HashRange{Start: 1 << 63, End: ^uint64(0)}, TabletMigratingOut, TabletNormal) {
 		t.Fatal("state flip failed")
 	}
 	if !srv.MergeTablets(1, 1<<63) {

@@ -553,8 +553,8 @@ func (t *HashTable) RemoveTombstoneRefs(table wire.TableID, rng wire.HashRange) 
 	return removed
 }
 
-// CountRange counts entries and bytes of table within rng; used by
-// PrepareMigration to report migration size.
+// CountRange counts entries and bytes of table within rng (tests and
+// debugging; it scans the whole range).
 func (t *HashTable) CountRange(table wire.TableID, rng wire.HashRange) (count, byteSize uint64) {
 	t.ScanRange(table, rng, 0, func(ref Ref) bool {
 		if h, err := ref.Header(); err == nil {

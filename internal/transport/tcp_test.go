@@ -224,11 +224,14 @@ func TestTCPCoalescedConcurrentSenders(t *testing.T) {
 func TestTCPSendAllocs(t *testing.T) {
 	a, b := tcpPair(t)
 	drained := make(chan struct{})
+	arrived := make(chan struct{})
 	count := 0
 	go func() {
 		defer close(drained)
 		for range b.Inbound() {
-			count++
+			if count++; count == 1 {
+				close(arrived)
+			}
 		}
 	}()
 
@@ -246,10 +249,14 @@ func TestTCPSendAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Fatalf("TCP send allocates %.1f objects/op, want <= 4", allocs)
 	}
+	// Close tears connections down without draining them, so wait for the
+	// frames to reach the receiver before closing.
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("receiver saw no frames")
+	}
 	a.Close()
 	b.Close()
 	<-drained
-	if count == 0 {
-		t.Fatal("receiver saw no frames")
-	}
 }

@@ -51,8 +51,7 @@ func seedMessages() []*Message {
 		{ID: 12, From: 8, To: 7, Op: OpPrepareMigration,
 			Body: &PrepareMigrationRequest{Table: 3, Range: FullRange(), Target: 8, KeepServing: true}},
 		{ID: 12, From: 7, To: 8, Op: OpPrepareMigration, IsResponse: true,
-			Body: &PrepareMigrationResponse{Status: StatusOK, VersionCeiling: 100, NumBuckets: 1 << 10,
-				RecordCount: 5000, ByteCount: 1 << 20, TailWatermark: 4}},
+			Body: &PrepareMigrationResponse{Status: StatusOK, VersionCeiling: 100, NumBuckets: 1 << 10, TailWatermark: 4}},
 		{ID: 13, From: 8, To: 7, Op: OpPull, Priority: PriorityBackground,
 			Body: &PullRequest{Table: 3, Range: FullRange(), ResumeToken: 17, ByteBudget: 20 << 10}},
 		{ID: 13, From: 7, To: 8, Op: OpPull, IsResponse: true,

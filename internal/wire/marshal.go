@@ -440,8 +440,6 @@ func marshalBody(e *Encoder, p Payload) {
 		e.U8(uint8(b.Status))
 		e.U64(b.VersionCeiling)
 		e.U64(b.NumBuckets)
-		e.U64(b.RecordCount)
-		e.U64(b.ByteCount)
 		e.U64(b.TailWatermark)
 	case *AbortMigrationRequest:
 		e.U64(uint64(b.Table))
@@ -687,7 +685,7 @@ func unmarshalBody(d *Decoder, op Op, isResponse bool) (Payload, error) {
 	case op == OpPrepareMigration && !isResponse:
 		return &PrepareMigrationRequest{Table: TableID(d.U64()), Range: d.Range(), Target: ServerID(d.U64()), KeepServing: d.Bool()}, d.err
 	case op == OpPrepareMigration:
-		return &PrepareMigrationResponse{Status: Status(d.U8()), VersionCeiling: d.U64(), NumBuckets: d.U64(), RecordCount: d.U64(), ByteCount: d.U64(), TailWatermark: d.U64()}, d.err
+		return &PrepareMigrationResponse{Status: Status(d.U8()), VersionCeiling: d.U64(), NumBuckets: d.U64(), TailWatermark: d.U64()}, d.err
 	case op == OpAbortMigration && !isResponse:
 		return &AbortMigrationRequest{Table: TableID(d.U64()), Range: d.Range(), Target: ServerID(d.U64())}, d.err
 	case op == OpAbortMigration:

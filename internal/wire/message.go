@@ -309,17 +309,13 @@ type PrepareMigrationResponse struct {
 	// NumBuckets is the source hash table's bucket count; Pull resume
 	// tokens index into it.
 	NumBuckets uint64
-	// RecordCount and ByteCount estimate migration size for progress and
-	// benchmarks.
-	RecordCount uint64
-	ByteCount   uint64
 	// TailWatermark is the source's append-epoch watermark at preparation
 	// time: every write the source accepts afterwards carries a larger
 	// epoch. The retain-ownership catch-up pulls only entries above it.
 	TailWatermark uint64
 }
 
-func (r *PrepareMigrationResponse) WireSize() int { return 41 }
+func (r *PrepareMigrationResponse) WireSize() int { return 25 }
 func (r *PrepareMigrationResponse) Op() Op        { return OpPrepareMigration }
 
 // AbortMigrationRequest is sent target -> source when the migration

@@ -153,7 +153,7 @@ func sampleMessages(rng *rand.Rand) []*Message {
 		&MigrateTabletRequest{Table: 9, Range: HashRange{10, 20}, Source: 3},
 		&MigrateTabletResponse{Status: StatusOK},
 		&PrepareMigrationRequest{Table: 9, Range: HashRange{10, 20}, Target: 4},
-		&PrepareMigrationResponse{Status: StatusOK, VersionCeiling: 1000, NumBuckets: 1 << 20, RecordCount: 5, ByteCount: 500},
+		&PrepareMigrationResponse{Status: StatusOK, VersionCeiling: 1000, NumBuckets: 1 << 20, TailWatermark: 5},
 		&AbortMigrationRequest{Table: 9, Range: HashRange{10, 20}, Target: 4},
 		&AbortMigrationResponse{Status: StatusOK},
 		&PullRequest{Table: 9, Range: HashRange{10, 20}, ResumeToken: 42, ByteBudget: 20 << 10},
