@@ -191,8 +191,9 @@ func (b *backoff) sleep(ctx context.Context, hintMicros uint32) bool {
 //
 //  1. A key the cached map has no owner for refreshes the map once; still
 //     none is ErrNoSuchTable.
-//  2. A failed RPC refreshes the map and resends. A Delete is the
-//     exception: it may have landed, so its error is returned.
+//  2. A failed RPC waits out the backoff, refreshes the map and resends.
+//     A Delete is the exception: it may have landed, so its error is
+//     returned.
 //  3. StatusWrongServer refreshes the map; it spends one of maxAttempts.
 //  4. StatusRetry waits out the reply's hint (backoff.sleep); the wait
 //     spends no attempt, and retryBudget bounds the total.
@@ -201,12 +202,18 @@ func (b *backoff) sleep(ctx context.Context, hintMicros uint32) bool {
 //     route returns ErrNoSuchKey, fanOut hands the item to its caller.
 
 // refresh re-fetches the map after a WrongServer reply or a failed RPC
-// (cause), spending one of the operation's maxAttempts. When the refresh
-// fails too, cause is what the caller sees, if there was one.
+// (cause), spending one of the operation's maxAttempts. A failed RPC first
+// waits out the backoff: its owner may have crashed, and the recovery that
+// moves the range takes longer than maxAttempts back-to-back refreshes.
+// When the wait or the refresh fails, cause is what the caller sees, if
+// there was one.
 func (c *Client) refresh(ctx context.Context, bo *backoff, cause error) error {
 	bo.refreshes++
 	if bo.refreshes >= maxAttempts {
 		return ErrRetriesExhausted
+	}
+	if cause != nil && !bo.sleep(ctx, 0) {
+		return cause
 	}
 	if err := c.RefreshMap(ctx); err != nil {
 		if cause != nil {

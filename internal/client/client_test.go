@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"rocksteady/internal/client"
 	"rocksteady/internal/cluster"
@@ -102,6 +103,42 @@ func TestClientMultiPutReportsReplicationFailure(t *testing.T) {
 	err = cl.MultiPut(ctx, table, [][]byte{[]byte("k1"), []byte("k2")}, [][]byte{[]byte("v1"), []byte("v2")})
 	if err == nil || err.Error() != writeErr.Error() {
 		t.Fatalf("multiput = %v, write = %v", err, writeErr)
+	}
+}
+
+// A read whose owner crashed waits for the recovery to move the range
+// instead of spending every map refresh before the crash is even reported.
+func TestClientReadWaitsOutOwnerRecovery(t *testing.T) {
+	c := cluster.New(cluster.Config{
+		Servers:           3,
+		Workers:           2,
+		SegmentSize:       64 << 10,
+		HashTableCapacity: 1 << 14,
+		ReplicationFactor: 2,
+		Quiet:             true,
+	})
+	t.Cleanup(c.Close)
+	cl, admin := c.MustClient(), c.MustClient()
+	ctx := context.Background()
+	table, err := cl.CreateTable(ctx, "t", c.Server(0).ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Write(ctx, table, []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	c.Crash(0)
+	reported := make(chan struct{})
+	time.AfterFunc(200*time.Millisecond, func() {
+		defer close(reported)
+		if err := admin.ReportCrash(ctx, c.Server(0).ID()); err != nil {
+			t.Error(err)
+		}
+	})
+	v, err := cl.Read(ctx, table, []byte("k"))
+	<-reported
+	if err != nil || string(v) != "v" {
+		t.Fatalf("read across the owner's recovery: %q %v", v, err)
 	}
 }
 

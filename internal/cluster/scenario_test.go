@@ -80,6 +80,9 @@ type faultWorkload struct {
 	models  []*check.KeyModel
 	workers int
 	seed    uint64
+	// clients holds one client per worker, attached before any scenario
+	// sets a fault plan, so a dropped map fetch cannot fail the attach.
+	clients []*client.Client
 
 	// Op mix out of 10: draws below deleteCut delete, below writeCut
 	// write, the rest read. Defaults to 1 delete / 3 writes / 6 reads.
@@ -115,6 +118,9 @@ func newFaultWorkload(t *testing.T, c *Cluster, table wire.TableID, n, workers i
 	for i := range wl.models {
 		wl.models[i] = check.NewKeyModel(values[i])
 	}
+	for w := 0; w < workers; w++ {
+		wl.clients = append(wl.clients, c.MustClient())
+	}
 	t.Cleanup(wl.stopWait)
 	return wl
 }
@@ -135,7 +141,7 @@ func (wl *faultWorkload) stopWait() {
 
 func (wl *faultWorkload) run(w int) {
 	defer wl.wg.Done()
-	cl := wl.c.MustClient()
+	cl := wl.clients[w]
 	watch := check.NewVersionWatch()
 	rng := rand.New(rand.NewSource(int64(wl.seed)<<8 | int64(w)))
 	perWorker := len(wl.keys) / wl.workers

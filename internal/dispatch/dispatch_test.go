@@ -155,7 +155,6 @@ func TestIdleWorkersTracking(t *testing.T) {
 
 func TestBusyNanosAccumulates(t *testing.T) {
 	s := NewScheduler(2)
-	defer s.Close()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	s.Enqueue(wire.PriorityForeground, func() {
@@ -163,6 +162,9 @@ func TestBusyNanosAccumulates(t *testing.T) {
 		wg.Done()
 	})
 	wg.Wait()
+	// The worker books the task's busy time after the task returns; Close
+	// waits for the workers, so the time is booked once it returns.
+	s.Close()
 	if s.BusyNanos() < (4 * time.Millisecond).Nanoseconds() {
 		t.Fatalf("busy nanos %d too small", s.BusyNanos())
 	}

@@ -390,7 +390,7 @@ func (e *Endpoint) Send(m *wire.Message) error {
 // shares no payload memory with the original (the zero-copy fabric hands
 // payload pointers to the receiver, which then owns them).
 func deepCopy(m *wire.Message) *wire.Message {
-	buf := wire.MarshalMessage(m)
+	buf := wire.AppendMessage(nil, m)
 	dup, err := wire.UnmarshalMessage(buf)
 	if err != nil {
 		return nil

@@ -806,7 +806,6 @@ func (s *Server) handleTakeTablets(ctx context.Context, st *statShard, req *wire
 	if req.VersionCeiling > 0 {
 		s.log.BumpVersionTo(req.VersionCeiling)
 	}
-	s.RegisterTablet(req.Table, req.Range, TabletNormal)
 	tombstones := false
 	for i := range req.Records {
 		rec := &req.Records[i]
@@ -848,6 +847,12 @@ func (s *Server) handleTakeTablets(ctx context.Context, st *statShard, req *wire
 		// without occupying slots.
 		s.ht.RemoveTombstoneRefs(req.Table, req.Range)
 	}
+	// Serve the range only now that its records are in place. This server
+	// may already own the range in the coordinator's map (it was the target
+	// of a migration whose source crashed), so clients reach it during the
+	// replay; registered earlier, it would answer NoSuchKey for records not
+	// yet replayed.
+	s.RegisterTablet(req.Table, req.Range, TabletNormal)
 	if len(req.Records) > 0 {
 		if err := s.repl.Sync(ctx); err != nil {
 			return &wire.TakeTabletsResponse{Status: wire.StatusInternalError}

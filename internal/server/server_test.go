@@ -260,6 +260,29 @@ func TestServerTakeTabletsReplaysWithVersions(t *testing.T) {
 	}
 }
 
+// A recovery master must not serve a range before its records are in
+// place: a replay that fails part-way leaves the range unserved, where an
+// early registration answered reads of the replayed half and NoSuchKey for
+// the rest.
+func TestServerTakeTabletsRegistersAfterReplay(t *testing.T) {
+	r := newRig(t, Config{SegmentSize: 4 << 10})
+	recs := []wire.Record{
+		{Table: 1, Version: 5, Key: []byte("a"), Value: []byte("v")},
+		// Larger than a segment: the append fails and the replay stops.
+		{Table: 1, Version: 6, Key: []byte("b"), Value: make([]byte, 8<<10)},
+	}
+	resp := r.call(t, &wire.TakeTabletsRequest{Table: 1, Range: wire.FullRange(), Records: recs}).(*wire.TakeTabletsResponse)
+	if resp.Status != wire.StatusInternalError {
+		t.Fatalf("take tablets: %+v", resp)
+	}
+	for _, key := range []string{"a", "b"} {
+		rd := r.call(t, &wire.ReadRequest{Table: 1, Key: []byte(key)}).(*wire.ReadResponse)
+		if rd.Status != wire.StatusWrongServer {
+			t.Fatalf("read %s after a failed replay: %v, want WrongServer", key, rd.Status)
+		}
+	}
+}
+
 func TestServerReplayRecordsBaseline(t *testing.T) {
 	r := newRig(t, Config{})
 	r.srv.RegisterTablet(1, wire.FullRange(), TabletNormal)

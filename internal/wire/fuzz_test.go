@@ -134,6 +134,65 @@ func seedMessages() []*Message {
 			Body: &PullRequest{Table: 3, Range: FullRange(), ResumeToken: 5, ByteBudget: 20 << 10}},
 		{ID: 30, From: 7, To: 8, Op: OpPull, IsResponse: true, TraceID: 0xdeadbeefcafe,
 			Body: &PullResponse{Status: StatusOK, Records: []Record{rec}, ResumeToken: 6}},
+		// The remaining (op, direction) pairs, so every registered body
+		// has a seed (TestFuzzSeedsCoverEveryOp).
+		{ID: 37, From: 8, To: 7, Op: OpAbortMigration,
+			Body: &AbortMigrationRequest{Table: 3, Range: FullRange(), Target: 8}},
+		{ID: 37, From: 7, To: 8, Op: OpAbortMigration, IsResponse: true,
+			Body: &AbortMigrationResponse{Status: StatusOK}},
+		{ID: 4, From: 8, To: 7, Op: OpDelete, IsResponse: true,
+			Body: &DeleteResponse{Status: StatusNoSuchKey, Version: 44}},
+		{ID: 6, From: 8, To: 7, Op: OpMultiPut, IsResponse: true,
+			Body: &MultiPutResponse{Status: StatusOK, Statuses: []Status{StatusOK}, Versions: []uint64{45}}},
+		{ID: 9, From: 8, To: 7, Op: OpIndexInsert, IsResponse: true,
+			Body: &IndexInsertResponse{Status: StatusOK}},
+		{ID: 10, From: 8, To: 7, Op: OpIndexRemove, IsResponse: true,
+			Body: &IndexRemoveResponse{Status: StatusNoSuchIndex}},
+		{ID: 11, From: 8, To: 9, Op: OpMigrateTablet, IsResponse: true,
+			Body: &MigrateTabletResponse{Status: StatusMigrationInProgress}},
+		{ID: 15, From: 7, To: 8, Op: OpDropTablet, IsResponse: true,
+			Body: &DropTabletResponse{Status: StatusOK}},
+		{ID: 16, From: 8, To: 7, Op: OpReplayRecords, IsResponse: true,
+			Body: &ReplayRecordsResponse{Status: StatusOK}},
+		{ID: 18, From: 10, To: 7, Op: OpReplicateSegment, IsResponse: true,
+			Body: &ReplicateSegmentResponse{Status: StatusOK}},
+		{ID: 20, From: 9, To: 2, Op: OpTakeTablets, IsResponse: true,
+			Body: &TakeTabletsResponse{Status: StatusOK}},
+		{ID: 22, From: CoordinatorID, To: 9, Op: OpCreateTable, IsResponse: true,
+			Body: &CreateTableResponse{Status: StatusOK, Table: 3}},
+		{ID: 23, From: CoordinatorID, To: 9, Op: OpCreateIndex, IsResponse: true,
+			Body: &CreateIndexResponse{Status: StatusOK, Index: 2}},
+		{ID: 24, From: CoordinatorID, To: 8, Op: OpMigrateStart, IsResponse: true,
+			Body: &MigrateStartResponse{Status: StatusOK, MapVersion: 9}},
+		{ID: 25, From: CoordinatorID, To: 8, Op: OpMigrateDone, IsResponse: true,
+			Body: &MigrateDoneResponse{Status: StatusOK}},
+		{ID: 26, From: CoordinatorID, To: 9, Op: OpSplitTablet, IsResponse: true,
+			Body: &SplitTabletResponse{Status: StatusOK, MapVersion: 10}},
+		{ID: 27, From: CoordinatorID, To: 7, Op: OpEnlistServer, IsResponse: true,
+			Body: &EnlistServerResponse{Status: StatusOK}},
+		{ID: 28, From: CoordinatorID, To: 9, Op: OpReportCrash, IsResponse: true,
+			Body: &ReportCrashResponse{Status: StatusOK}},
+	}
+}
+
+// TestFuzzSeedsCoverEveryOp fails when a registered (op, direction) has no
+// seed message, so a new message cannot land without fuzz coverage.
+func TestFuzzSeedsCoverEveryOp(t *testing.T) {
+	type key struct {
+		op   Op
+		resp bool
+	}
+	seeded := make(map[key]bool)
+	for _, m := range seedMessages() {
+		if m.Body.Op() != m.Op || isResponsePayload(m.Body) != m.IsResponse {
+			t.Errorf("seed %v (resp=%v) carries a %T", m.Op, m.IsResponse, m.Body)
+		}
+		seeded[key{m.Op, m.IsResponse}] = true
+	}
+	for _, m := range registeredMessages() {
+		if !seeded[key{m.Op, m.IsResponse}] {
+			t.Errorf("no fuzz seed for %v (resp=%v)", m.Op, m.IsResponse)
+		}
 	}
 }
 
@@ -145,7 +204,7 @@ func TestEnvelopeDeadlineTraceRoundtrip(t *testing.T) {
 	in := &Message{ID: 77, From: 1, To: 2, Op: OpRead, Priority: PriorityForeground,
 		TraceID: 0x0123456789abcdef, DeadlineNanos: 987654321012345678,
 		Body: &ReadRequest{Table: 1, Key: []byte("k")}}
-	out, err := UnmarshalMessage(MarshalMessage(in))
+	out, err := UnmarshalMessage(AppendMessage(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +218,13 @@ func TestEnvelopeDeadlineTraceRoundtrip(t *testing.T) {
 
 // FuzzDecodeMessage feeds arbitrary bytes to the decoder. The decoder must
 // never panic or over-allocate, and anything it accepts must re-encode into
-// at most WireSize bytes and decode again.
+// exactly WireSize bytes and decode again.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range seedMessages() {
-		f.Add(MarshalMessage(m))
+		f.Add(AppendMessage(nil, m))
 	}
 	// Truncations and corruptions of a valid frame exercise the error paths.
-	full := MarshalMessage(seedMessages()[0])
+	full := AppendMessage(nil, seedMessages()[0])
 	f.Add(full[:len(full)/2])
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
@@ -174,7 +233,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out := MarshalMessage(m)
+		out := AppendMessage(nil, m)
 		if len(out) != m.WireSize() {
 			t.Fatalf("encoded %d bytes but WireSize reports %d (op=%v): an under-report makes the zero-alloc encode path reallocate, an over-report skews the fabric bandwidth model",
 				len(out), m.WireSize(), m.Op)
@@ -190,19 +249,19 @@ func FuzzDecodeMessage(f *testing.F) {
 // re-encoded, further decode/encode cycles must reproduce it byte for byte.
 func FuzzMarshalRoundtrip(f *testing.F) {
 	for _, m := range seedMessages() {
-		f.Add(MarshalMessage(m))
+		f.Add(AppendMessage(nil, m))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m1, _, err := UnmarshalMessageShared(data)
 		if err != nil {
 			return
 		}
-		b1 := MarshalMessage(m1)
+		b1 := AppendMessage(nil, m1)
 		m2, _, err := UnmarshalMessageShared(b1)
 		if err != nil {
 			t.Fatalf("decode of re-encoded frame failed (op=%v): %v", m1.Op, err)
 		}
-		b2 := MarshalMessage(m2)
+		b2 := AppendMessage(nil, m2)
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("marshal/unmarshal roundtrip not stable (op=%v):\n first: %x\nsecond: %x", m1.Op, b1, b2)
 		}
@@ -213,12 +272,12 @@ func FuzzMarshalRoundtrip(f *testing.F) {
 // test runs (fuzz seeds are only executed during go test's seed pass).
 func TestSeedMessagesRoundtrip(t *testing.T) {
 	for _, m := range seedMessages() {
-		b1 := MarshalMessage(m)
+		b1 := AppendMessage(nil, m)
 		got, _, err := UnmarshalMessageShared(b1)
 		if err != nil {
 			t.Fatalf("op=%v: %v", m.Op, err)
 		}
-		b2 := MarshalMessage(got)
+		b2 := AppendMessage(nil, got)
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("op=%v: roundtrip mismatch", m.Op)
 		}
@@ -228,22 +287,56 @@ func TestSeedMessagesRoundtrip(t *testing.T) {
 // TestRegenerateFuzzCorpus rewrites the checked-in seed corpus under
 // testdata/fuzz/ from seedMessages. Run with WIRE_REGEN_CORPUS=1 after
 // changing the wire format or the seed set.
+//
+// A new seed file is named seed-<Op>-<req|resp>-<k>, k counted per op and
+// direction, so adding a seed never renames another. A file whose bytes a
+// seed still produces keeps its name; a file no seed produces is deleted.
+// Regenerating after a change that keeps the format therefore only adds
+// files.
 func TestRegenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("WIRE_REGEN_CORPUS") == "" {
 		t.Skip("set WIRE_REGEN_CORPUS=1 to rewrite testdata/fuzz")
 	}
+	want := make(map[string]string) // file contents -> name for a new file
+	count := make(map[string]int)
+	for _, m := range seedMessages() {
+		key := m.Op.String() + "-req"
+		if m.IsResponse {
+			key = m.Op.String() + "-resp"
+		}
+		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(AppendMessage(nil, m))) + ")\n"
+		want[body] = "seed-" + key + "-" + strconv.Itoa(count[key])
+		count[key]++
+	}
 	for _, target := range []string{"FuzzDecodeMessage", "FuzzMarshalRoundtrip"} {
 		dir := filepath.Join("testdata", "fuzz", target)
-		if err := os.RemoveAll(dir); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		for i, m := range seedMessages() {
-			body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(MarshalMessage(m))) + ")\n"
-			name := filepath.Join(dir, "seed-"+m.Op.String()+"-"+strconv.Itoa(i))
-			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := make(map[string]bool)
+		for _, e := range entries {
+			path := filepath.Join(dir, e.Name())
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := want[string(b)]; ok && !kept[string(b)] {
+				kept[string(b)] = true
+				continue
+			}
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for body, name := range want {
+			if kept[body] {
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}

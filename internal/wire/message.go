@@ -1,10 +1,9 @@
 package wire
 
 // Payload is the interface implemented by every request and response body.
-// WireSize reports the encoded byte size, which drives the in-process
-// fabric's bandwidth/serialization model and Pull byte budgets.
+// A body's wire layout lives in fields (marshal.go), and its op in the
+// registry (wire.go); Message.WireSize sizes it from that layout.
 type Payload interface {
-	WireSize() int
 	Op() Op
 }
 
@@ -35,32 +34,13 @@ type Message struct {
 	Body Payload
 }
 
-// WireSize returns the total encoded message size: a fixed envelope header
-// plus the body.
+// WireSize returns the total encoded message size, envelope and body. It
+// drives the in-process fabric's bandwidth model and presizes marshal
+// buffers.
 func (m *Message) WireSize() int {
-	// id(8) + from(8) + to(8) + op(1) + flags(1) + priority(1) +
-	// trace(8) + deadline(8)
-	const envelope = 43
-	if m.Body == nil {
-		return envelope
-	}
-	return envelope + m.Body.WireSize()
-}
-
-func byteSliceSize(b []byte) int { return 4 + len(b) }
-func byteSlicesSize(bs [][]byte) int {
-	n := 4
-	for _, b := range bs {
-		n += byteSliceSize(b)
-	}
-	return n
-}
-func recordsSize(rs []Record) int {
-	n := 4
-	for i := range rs {
-		n += rs[i].WireSize()
-	}
-	return n
+	var c codec
+	message(&c, m)
+	return c.n
 }
 
 // ---------------------------------------------------------------------------
@@ -73,8 +53,7 @@ type ReadRequest struct {
 	Key   []byte
 }
 
-func (r *ReadRequest) WireSize() int { return 8 + byteSliceSize(r.Key) }
-func (r *ReadRequest) Op() Op        { return OpRead }
+func (r *ReadRequest) Op() Op { return OpRead }
 
 // ReadResponse returns the object, or a status explaining its absence.
 type ReadResponse struct {
@@ -86,8 +65,7 @@ type ReadResponse struct {
 	RetryAfterMicros uint32
 }
 
-func (r *ReadResponse) WireSize() int { return 13 + byteSliceSize(r.Value) }
-func (r *ReadResponse) Op() Op        { return OpRead }
+func (r *ReadResponse) Op() Op { return OpRead }
 
 // WriteRequest stores one object.
 type WriteRequest struct {
@@ -96,8 +74,7 @@ type WriteRequest struct {
 	Value []byte
 }
 
-func (r *WriteRequest) WireSize() int { return 8 + byteSliceSize(r.Key) + byteSliceSize(r.Value) }
-func (r *WriteRequest) Op() Op        { return OpWrite }
+func (r *WriteRequest) Op() Op { return OpWrite }
 
 // WriteResponse acknowledges a durable write.
 type WriteResponse struct {
@@ -105,8 +82,7 @@ type WriteResponse struct {
 	Version uint64
 }
 
-func (r *WriteResponse) WireSize() int { return 9 }
-func (r *WriteResponse) Op() Op        { return OpWrite }
+func (r *WriteResponse) Op() Op { return OpWrite }
 
 // DeleteRequest removes one object.
 type DeleteRequest struct {
@@ -114,8 +90,7 @@ type DeleteRequest struct {
 	Key   []byte
 }
 
-func (r *DeleteRequest) WireSize() int { return 8 + byteSliceSize(r.Key) }
-func (r *DeleteRequest) Op() Op        { return OpDelete }
+func (r *DeleteRequest) Op() Op { return OpDelete }
 
 // DeleteResponse acknowledges a durable delete.
 type DeleteResponse struct {
@@ -123,8 +98,7 @@ type DeleteResponse struct {
 	Version uint64
 }
 
-func (r *DeleteResponse) WireSize() int { return 9 }
-func (r *DeleteResponse) Op() Op        { return OpDelete }
+func (r *DeleteResponse) Op() Op { return OpDelete }
 
 // MultiGetRequest fetches several objects of one table from one server
 // with a single RPC (the locality optimization Figure 3 measures).
@@ -133,8 +107,7 @@ type MultiGetRequest struct {
 	Keys  [][]byte
 }
 
-func (r *MultiGetRequest) WireSize() int { return 8 + byteSlicesSize(r.Keys) }
-func (r *MultiGetRequest) Op() Op        { return OpMultiGet }
+func (r *MultiGetRequest) Op() Op { return OpMultiGet }
 
 // MultiGetResponse returns per-key results aligned with the request keys.
 type MultiGetResponse struct {
@@ -146,10 +119,6 @@ type MultiGetResponse struct {
 	RetryAfterMicros uint32
 }
 
-func (r *MultiGetResponse) WireSize() int {
-	// status(1) + retry(4) + statuses(4+n) + versions(4+8n) + values
-	return 13 + len(r.Statuses) + 8*len(r.Versions) + byteSlicesSize(r.Values)
-}
 func (r *MultiGetResponse) Op() Op { return OpMultiGet }
 
 // MultiPutRequest writes several objects of one table on one server.
@@ -159,9 +128,6 @@ type MultiPutRequest struct {
 	Values [][]byte
 }
 
-func (r *MultiPutRequest) WireSize() int {
-	return 8 + byteSlicesSize(r.Keys) + byteSlicesSize(r.Values)
-}
 func (r *MultiPutRequest) Op() Op { return OpMultiPut }
 
 // MultiPutResponse returns per-key statuses aligned with the request keys.
@@ -171,9 +137,7 @@ type MultiPutResponse struct {
 	Versions []uint64
 }
 
-// WireSize is status(1) + statuses(4+n) + versions(4+8n).
-func (r *MultiPutResponse) WireSize() int { return 9 + len(r.Statuses) + 8*len(r.Versions) }
-func (r *MultiPutResponse) Op() Op        { return OpMultiPut }
+func (r *MultiPutResponse) Op() Op { return OpMultiPut }
 
 // MultiGetByHashRequest fetches objects by primary key hash; used by index
 // scans, which learn hashes (not keys) from indexlets (Figure 2).
@@ -182,8 +146,7 @@ type MultiGetByHashRequest struct {
 	Hashes []uint64
 }
 
-func (r *MultiGetByHashRequest) WireSize() int { return 12 + 8*len(r.Hashes) }
-func (r *MultiGetByHashRequest) Op() Op        { return OpMultiGetByHash }
+func (r *MultiGetByHashRequest) Op() Op { return OpMultiGetByHash }
 
 // MultiGetByHashResponse returns the records found for the hashes. Records
 // whose hash is absent are omitted.
@@ -193,9 +156,7 @@ type MultiGetByHashResponse struct {
 	RetryAfterMicros uint32
 }
 
-// WireSize is status(1) + retry(4) + records (recordsSize includes the count).
-func (r *MultiGetByHashResponse) WireSize() int { return 5 + recordsSize(r.Records) }
-func (r *MultiGetByHashResponse) Op() Op        { return OpMultiGetByHash }
+func (r *MultiGetByHashResponse) Op() Op { return OpMultiGetByHash }
 
 // ---------------------------------------------------------------------------
 // Index path
@@ -210,9 +171,6 @@ type IndexLookupRequest struct {
 	Limit uint32
 }
 
-func (r *IndexLookupRequest) WireSize() int {
-	return 12 + byteSliceSize(r.Begin) + byteSliceSize(r.End)
-}
 func (r *IndexLookupRequest) Op() Op { return OpIndexLookup }
 
 // IndexLookupResponse returns matching primary-key hashes in secondary-key
@@ -222,8 +180,7 @@ type IndexLookupResponse struct {
 	Hashes []uint64
 }
 
-func (r *IndexLookupResponse) WireSize() int { return 5 + 8*len(r.Hashes) }
-func (r *IndexLookupResponse) Op() Op        { return OpIndexLookup }
+func (r *IndexLookupResponse) Op() Op { return OpIndexLookup }
 
 // IndexInsertRequest adds (SecondaryKey -> KeyHash) to an indexlet; issued
 // by masters applying writes to indexed tables.
@@ -233,14 +190,12 @@ type IndexInsertRequest struct {
 	KeyHash      uint64
 }
 
-func (r *IndexInsertRequest) WireSize() int { return 16 + byteSliceSize(r.SecondaryKey) }
-func (r *IndexInsertRequest) Op() Op        { return OpIndexInsert }
+func (r *IndexInsertRequest) Op() Op { return OpIndexInsert }
 
 // IndexInsertResponse acknowledges the insert.
 type IndexInsertResponse struct{ Status Status }
 
-func (r *IndexInsertResponse) WireSize() int { return 1 }
-func (r *IndexInsertResponse) Op() Op        { return OpIndexInsert }
+func (r *IndexInsertResponse) Op() Op { return OpIndexInsert }
 
 // IndexRemoveRequest removes (SecondaryKey -> KeyHash) from an indexlet.
 type IndexRemoveRequest struct {
@@ -249,14 +204,12 @@ type IndexRemoveRequest struct {
 	KeyHash      uint64
 }
 
-func (r *IndexRemoveRequest) WireSize() int { return 16 + byteSliceSize(r.SecondaryKey) }
-func (r *IndexRemoveRequest) Op() Op        { return OpIndexRemove }
+func (r *IndexRemoveRequest) Op() Op { return OpIndexRemove }
 
 // IndexRemoveResponse acknowledges the removal.
 type IndexRemoveResponse struct{ Status Status }
 
-func (r *IndexRemoveResponse) WireSize() int { return 1 }
-func (r *IndexRemoveResponse) Op() Op        { return OpIndexRemove }
+func (r *IndexRemoveResponse) Op() Op { return OpIndexRemove }
 
 // ---------------------------------------------------------------------------
 // Migration path
@@ -270,15 +223,13 @@ type MigrateTabletRequest struct {
 	Source ServerID
 }
 
-func (r *MigrateTabletRequest) WireSize() int { return 32 }
-func (r *MigrateTabletRequest) Op() Op        { return OpMigrateTablet }
+func (r *MigrateTabletRequest) Op() Op { return OpMigrateTablet }
 
 // MigrateTabletResponse acknowledges that migration started (not that it
 // finished): ownership has already moved to the target.
 type MigrateTabletResponse struct{ Status Status }
 
-func (r *MigrateTabletResponse) WireSize() int { return 1 }
-func (r *MigrateTabletResponse) Op() Op        { return OpMigrateTablet }
+func (r *MigrateTabletResponse) Op() Op { return OpMigrateTablet }
 
 // PrepareMigrationRequest is sent target -> source before ownership moves.
 // The source marks the tablet immutable-and-migrating and returns what the
@@ -295,8 +246,7 @@ type PrepareMigrationRequest struct {
 	KeepServing bool
 }
 
-func (r *PrepareMigrationRequest) WireSize() int { return 33 }
-func (r *PrepareMigrationRequest) Op() Op        { return OpPrepareMigration }
+func (r *PrepareMigrationRequest) Op() Op { return OpPrepareMigration }
 
 // PrepareMigrationResponse carries the source-side facts a migration
 // manager needs.
@@ -315,8 +265,7 @@ type PrepareMigrationResponse struct {
 	TailWatermark uint64
 }
 
-func (r *PrepareMigrationResponse) WireSize() int { return 25 }
-func (r *PrepareMigrationResponse) Op() Op        { return OpPrepareMigration }
+func (r *PrepareMigrationResponse) Op() Op { return OpPrepareMigration }
 
 // AbortMigrationRequest is sent target -> source when the migration
 // prologue fails after PrepareMigration may have landed: ownership never
@@ -331,15 +280,13 @@ type AbortMigrationRequest struct {
 	Target ServerID
 }
 
-func (r *AbortMigrationRequest) WireSize() int { return 32 }
-func (r *AbortMigrationRequest) Op() Op        { return OpAbortMigration }
+func (r *AbortMigrationRequest) Op() Op { return OpAbortMigration }
 
 // AbortMigrationResponse acknowledges that the source serves the range
 // again (or never stopped).
 type AbortMigrationResponse struct{ Status Status }
 
-func (r *AbortMigrationResponse) WireSize() int { return 1 }
-func (r *AbortMigrationResponse) Op() Op        { return OpAbortMigration }
+func (r *AbortMigrationResponse) Op() Op { return OpAbortMigration }
 
 // PullRequest fetches the next batch of records from one partition of the
 // source's key-hash space. The source is stateless: ResumeToken encodes the
@@ -356,8 +303,7 @@ type PullRequest struct {
 	ByteBudget uint32
 }
 
-func (r *PullRequest) WireSize() int { return 36 }
-func (r *PullRequest) Op() Op        { return OpPull }
+func (r *PullRequest) Op() Op { return OpPull }
 
 // PullResponse returns a batch of records and the token to continue from.
 type PullResponse struct {
@@ -368,8 +314,7 @@ type PullResponse struct {
 	Done bool
 }
 
-func (r *PullResponse) WireSize() int { return 10 + recordsSize(r.Records) }
-func (r *PullResponse) Op() Op        { return OpPull }
+func (r *PullResponse) Op() Op { return OpPull }
 
 // PriorityPullRequest fetches specific records by key hash, on demand, at
 // the highest priority (§3.3). Requests are batched and de-duplicated by
@@ -379,8 +324,7 @@ type PriorityPullRequest struct {
 	Hashes []uint64
 }
 
-func (r *PriorityPullRequest) WireSize() int { return 12 + 8*len(r.Hashes) }
-func (r *PriorityPullRequest) Op() Op        { return OpPriorityPull }
+func (r *PriorityPullRequest) Op() Op { return OpPriorityPull }
 
 // PriorityPullResponse returns the requested records. Hashes with no
 // record on the source are reported in Missing so the target can answer
@@ -391,8 +335,7 @@ type PriorityPullResponse struct {
 	Missing []uint64
 }
 
-func (r *PriorityPullResponse) WireSize() int { return 5 + recordsSize(r.Records) + 8*len(r.Missing) }
-func (r *PriorityPullResponse) Op() Op        { return OpPriorityPull }
+func (r *PriorityPullResponse) Op() Op { return OpPriorityPull }
 
 // DropTabletRequest tells the source migration finished: it may free the
 // tablet's records (the log cleaner reclaims the space).
@@ -401,14 +344,12 @@ type DropTabletRequest struct {
 	Range HashRange
 }
 
-func (r *DropTabletRequest) WireSize() int { return 24 }
-func (r *DropTabletRequest) Op() Op        { return OpDropTablet }
+func (r *DropTabletRequest) Op() Op { return OpDropTablet }
 
 // DropTabletResponse acknowledges the drop.
 type DropTabletResponse struct{ Status Status }
 
-func (r *DropTabletResponse) WireSize() int { return 1 }
-func (r *DropTabletResponse) Op() Op        { return OpDropTablet }
+func (r *DropTabletResponse) Op() Op { return OpDropTablet }
 
 // ReplayRecordsRequest pushes a batch of records source -> target: the
 // data path of the *pre-existing* RAMCloud migration Figure 5 dissects.
@@ -424,14 +365,12 @@ type ReplayRecordsRequest struct {
 	SkipReplay bool
 }
 
-func (r *ReplayRecordsRequest) WireSize() int { return 10 + recordsSize(r.Records) }
-func (r *ReplayRecordsRequest) Op() Op        { return OpReplayRecords }
+func (r *ReplayRecordsRequest) Op() Op { return OpReplayRecords }
 
 // ReplayRecordsResponse acknowledges a pushed batch.
 type ReplayRecordsResponse struct{ Status Status }
 
-func (r *ReplayRecordsResponse) WireSize() int { return 1 }
-func (r *ReplayRecordsResponse) Op() Op        { return OpReplayRecords }
+func (r *ReplayRecordsResponse) Op() Op { return OpReplayRecords }
 
 // PullTailRequest fetches records of a range appended after the epoch
 // watermark AfterEpoch: the delta catch-up used when ownership stays at
@@ -445,8 +384,7 @@ type PullTailRequest struct {
 	AfterEpoch uint64
 }
 
-func (r *PullTailRequest) WireSize() int { return 32 }
-func (r *PullTailRequest) Op() Op        { return OpPullTail }
+func (r *PullTailRequest) Op() Op { return OpPullTail }
 
 // PullTailResponse returns the live tail records of the range.
 type PullTailResponse struct {
@@ -454,9 +392,7 @@ type PullTailResponse struct {
 	Records []Record
 }
 
-// WireSize is status(1) + records (recordsSize includes the count).
-func (r *PullTailResponse) WireSize() int { return 1 + recordsSize(r.Records) }
-func (r *PullTailResponse) Op() Op        { return OpPullTail }
+func (r *PullTailResponse) Op() Op { return OpPullTail }
 
 // ---------------------------------------------------------------------------
 // Replication path
@@ -474,14 +410,12 @@ type ReplicateSegmentRequest struct {
 	Close bool
 }
 
-func (r *ReplicateSegmentRequest) WireSize() int { return 29 + byteSliceSize(r.Data) }
-func (r *ReplicateSegmentRequest) Op() Op        { return OpReplicateSegment }
+func (r *ReplicateSegmentRequest) Op() Op { return OpReplicateSegment }
 
 // ReplicateSegmentResponse acknowledges durable receipt.
 type ReplicateSegmentResponse struct{ Status Status }
 
-func (r *ReplicateSegmentResponse) WireSize() int { return 1 }
-func (r *ReplicateSegmentResponse) Op() Op        { return OpReplicateSegment }
+func (r *ReplicateSegmentResponse) Op() Op { return OpReplicateSegment }
 
 // ReplicateChunk is one contiguous span of one segment's bytes inside a
 // batched replication request.
@@ -494,9 +428,6 @@ type ReplicateChunk struct {
 	Close bool
 }
 
-// wireSize is logID(8) + segmentID(8) + offset(4) + close(1) + data blob.
-func (c *ReplicateChunk) wireSize() int { return 21 + byteSliceSize(c.Data) }
-
 // ReplicateBatchRequest is the group-commit unit: one RPC carrying every
 // shard's pending log growth destined for one backup. The backup applies
 // chunks in order under a single lock acquisition and acknowledges each
@@ -507,13 +438,6 @@ type ReplicateBatchRequest struct {
 	Chunks []ReplicateChunk
 }
 
-func (r *ReplicateBatchRequest) WireSize() int {
-	n := 12 // master(8) + count(4)
-	for i := range r.Chunks {
-		n += r.Chunks[i].wireSize()
-	}
-	return n
-}
 func (r *ReplicateBatchRequest) Op() Op { return OpReplicateBatch }
 
 // ReplicateBatchResponse acknowledges a batch: Status is OK only if every
@@ -523,8 +447,7 @@ type ReplicateBatchResponse struct {
 	ChunkStatuses []Status
 }
 
-func (r *ReplicateBatchResponse) WireSize() int { return 5 + len(r.ChunkStatuses) }
-func (r *ReplicateBatchResponse) Op() Op        { return OpReplicateBatch }
+func (r *ReplicateBatchResponse) Op() Op { return OpReplicateBatch }
 
 // GetBackupSegmentsRequest asks a backup for one page of the segment
 // replicas it holds for a crashed master; used by recovery. Responses
@@ -543,8 +466,7 @@ type GetBackupSegmentsRequest struct {
 	MaxBytes uint32
 }
 
-func (r *GetBackupSegmentsRequest) WireSize() int { return 28 }
-func (r *GetBackupSegmentsRequest) Op() Op        { return OpGetBackupSegments }
+func (r *GetBackupSegmentsRequest) Op() Op { return OpGetBackupSegments }
 
 // BackupSegment is one replicated segment returned for recovery.
 type BackupSegment struct {
@@ -567,13 +489,6 @@ type GetBackupSegmentsResponse struct {
 	More bool
 }
 
-func (r *GetBackupSegmentsResponse) WireSize() int {
-	n := 14 // status(1) + nextCursor(8) + more(1) + count(4)
-	for i := range r.Segments {
-		n += 17 + byteSliceSize(r.Segments[i].Data)
-	}
-	return n
-}
 func (r *GetBackupSegmentsResponse) Op() Op { return OpGetBackupSegments }
 
 // TakeTabletsRequest instructs a recovery master to assume ownership of
@@ -587,14 +502,12 @@ type TakeTabletsRequest struct {
 	VersionCeiling uint64
 }
 
-func (r *TakeTabletsRequest) WireSize() int { return 32 + recordsSize(r.Records) }
-func (r *TakeTabletsRequest) Op() Op        { return OpTakeTablets }
+func (r *TakeTabletsRequest) Op() Op { return OpTakeTablets }
 
 // TakeTabletsResponse acknowledges recovery replay.
 type TakeTabletsResponse struct{ Status Status }
 
-func (r *TakeTabletsResponse) WireSize() int { return 1 }
-func (r *TakeTabletsResponse) Op() Op        { return OpTakeTablets }
+func (r *TakeTabletsResponse) Op() Op { return OpTakeTablets }
 
 // ---------------------------------------------------------------------------
 // Coordinator control path
@@ -621,8 +534,7 @@ type Indexlet struct {
 // GetTabletMapRequest fetches the current tablet and indexlet maps.
 type GetTabletMapRequest struct{}
 
-func (r *GetTabletMapRequest) WireSize() int { return 0 }
-func (r *GetTabletMapRequest) Op() Op        { return OpGetTabletMap }
+func (r *GetTabletMapRequest) Op() Op { return OpGetTabletMap }
 
 // GetTabletMapResponse returns the maps and their version.
 type GetTabletMapResponse struct {
@@ -632,14 +544,6 @@ type GetTabletMapResponse struct {
 	Indexlets []Indexlet
 }
 
-func (r *GetTabletMapResponse) WireSize() int {
-	// status(1) + version(8) + tablet count(4) + indexlet count(4) + entries
-	n := 17 + 32*len(r.Tablets)
-	for i := range r.Indexlets {
-		n += 24 + byteSliceSize(r.Indexlets[i].Begin) + byteSliceSize(r.Indexlets[i].End)
-	}
-	return n
-}
 func (r *GetTabletMapResponse) Op() Op { return OpGetTabletMap }
 
 // CreateTableRequest creates a table spread over the given servers (one
@@ -649,8 +553,7 @@ type CreateTableRequest struct {
 	Servers []ServerID
 }
 
-func (r *CreateTableRequest) WireSize() int { return 4 + len(r.Name) + 4 + 8*len(r.Servers) }
-func (r *CreateTableRequest) Op() Op        { return OpCreateTable }
+func (r *CreateTableRequest) Op() Op { return OpCreateTable }
 
 // CreateTableResponse returns the new table's ID.
 type CreateTableResponse struct {
@@ -658,8 +561,7 @@ type CreateTableResponse struct {
 	Table  TableID
 }
 
-func (r *CreateTableResponse) WireSize() int { return 9 }
-func (r *CreateTableResponse) Op() Op        { return OpCreateTable }
+func (r *CreateTableResponse) Op() Op { return OpCreateTable }
 
 // CreateIndexRequest creates a secondary index over a table, range
 // partitioned into one indexlet per entry of Splits+1 servers.
@@ -671,9 +573,6 @@ type CreateIndexRequest struct {
 	SplitKeys [][]byte
 }
 
-func (r *CreateIndexRequest) WireSize() int {
-	return 12 + 8*len(r.Servers) + byteSlicesSize(r.SplitKeys)
-}
 func (r *CreateIndexRequest) Op() Op { return OpCreateIndex }
 
 // CreateIndexResponse returns the new index's ID.
@@ -682,8 +581,7 @@ type CreateIndexResponse struct {
 	Index  IndexID
 }
 
-func (r *CreateIndexResponse) WireSize() int { return 9 }
-func (r *CreateIndexResponse) Op() Op        { return OpCreateIndex }
+func (r *CreateIndexResponse) Op() Op { return OpCreateIndex }
 
 // MigrateStartRequest is sent target -> coordinator at migration start: it
 // atomically transfers tablet ownership to the target and registers the
@@ -702,8 +600,7 @@ type MigrateStartRequest struct {
 	TargetLogWatermark uint64
 }
 
-func (r *MigrateStartRequest) WireSize() int { return 48 }
-func (r *MigrateStartRequest) Op() Op        { return OpMigrateStart }
+func (r *MigrateStartRequest) Op() Op { return OpMigrateStart }
 
 // MigrateStartResponse acknowledges the ownership transfer.
 type MigrateStartResponse struct {
@@ -711,8 +608,7 @@ type MigrateStartResponse struct {
 	MapVersion uint64
 }
 
-func (r *MigrateStartResponse) WireSize() int { return 9 }
-func (r *MigrateStartResponse) Op() Op        { return OpMigrateStart }
+func (r *MigrateStartResponse) Op() Op { return OpMigrateStart }
 
 // MigrateDoneRequest drops the lineage dependency once side logs are
 // replicated and committed.
@@ -723,14 +619,12 @@ type MigrateDoneRequest struct {
 	Target ServerID
 }
 
-func (r *MigrateDoneRequest) WireSize() int { return 40 }
-func (r *MigrateDoneRequest) Op() Op        { return OpMigrateDone }
+func (r *MigrateDoneRequest) Op() Op { return OpMigrateDone }
 
 // MigrateDoneResponse acknowledges dependency removal.
 type MigrateDoneResponse struct{ Status Status }
 
-func (r *MigrateDoneResponse) WireSize() int { return 1 }
-func (r *MigrateDoneResponse) Op() Op        { return OpMigrateDone }
+func (r *MigrateDoneResponse) Op() Op { return OpMigrateDone }
 
 // SplitTabletRequest splits the tablet containing SplitAt into two tablets
 // at the boundary; both halves stay on the current master. Splitting is
@@ -741,8 +635,7 @@ type SplitTabletRequest struct {
 	SplitAt uint64 // first hash of the upper tablet
 }
 
-func (r *SplitTabletRequest) WireSize() int { return 16 }
-func (r *SplitTabletRequest) Op() Op        { return OpSplitTablet }
+func (r *SplitTabletRequest) Op() Op { return OpSplitTablet }
 
 // SplitTabletResponse acknowledges the split.
 type SplitTabletResponse struct {
@@ -750,22 +643,19 @@ type SplitTabletResponse struct {
 	MapVersion uint64
 }
 
-func (r *SplitTabletResponse) WireSize() int { return 9 }
-func (r *SplitTabletResponse) Op() Op        { return OpSplitTablet }
+func (r *SplitTabletResponse) Op() Op { return OpSplitTablet }
 
 // EnlistServerRequest registers a server with the coordinator.
 type EnlistServerRequest struct {
 	Server ServerID
 }
 
-func (r *EnlistServerRequest) WireSize() int { return 8 }
-func (r *EnlistServerRequest) Op() Op        { return OpEnlistServer }
+func (r *EnlistServerRequest) Op() Op { return OpEnlistServer }
 
 // EnlistServerResponse acknowledges enlistment.
 type EnlistServerResponse struct{ Status Status }
 
-func (r *EnlistServerResponse) WireSize() int { return 1 }
-func (r *EnlistServerResponse) Op() Op        { return OpEnlistServer }
+func (r *EnlistServerResponse) Op() Op { return OpEnlistServer }
 
 // ReportCrashRequest notifies the coordinator of a suspected server crash,
 // triggering recovery.
@@ -773,15 +663,13 @@ type ReportCrashRequest struct {
 	Server ServerID
 }
 
-func (r *ReportCrashRequest) WireSize() int { return 8 }
-func (r *ReportCrashRequest) Op() Op        { return OpReportCrash }
+func (r *ReportCrashRequest) Op() Op { return OpReportCrash }
 
 // ReportCrashResponse acknowledges that recovery was initiated (or that
 // the server was already recovered).
 type ReportCrashResponse struct{ Status Status }
 
-func (r *ReportCrashResponse) WireSize() int { return 1 }
-func (r *ReportCrashResponse) Op() Op        { return OpReportCrash }
+func (r *ReportCrashResponse) Op() Op { return OpReportCrash }
 
 // MergeTabletsRequest coalesces the two adjacent tablets of one table that
 // meet at boundary MergeAt (the first hash of the upper tablet) back into a
@@ -794,8 +682,7 @@ type MergeTabletsRequest struct {
 	MergeAt uint64
 }
 
-func (r *MergeTabletsRequest) WireSize() int { return 16 }
-func (r *MergeTabletsRequest) Op() Op        { return OpMergeTablets }
+func (r *MergeTabletsRequest) Op() Op { return OpMergeTablets }
 
 // MergeTabletsResponse acknowledges the merge.
 type MergeTabletsResponse struct {
@@ -803,8 +690,7 @@ type MergeTabletsResponse struct {
 	MapVersion uint64
 }
 
-func (r *MergeTabletsResponse) WireSize() int { return 9 }
-func (r *MergeTabletsResponse) Op() Op        { return OpMergeTablets }
+func (r *MergeTabletsResponse) Op() Op { return OpMergeTablets }
 
 // TabletHeat is one tablet's decayed access-rate estimate in a heat
 // snapshot: accesses per decay interval, exponentially weighted toward the
@@ -817,14 +703,10 @@ type TabletHeat struct {
 	Heat uint64
 }
 
-// tabletHeatSize is table(8) + range(16) + heat(8).
-const tabletHeatSize = 32
-
 // GetHeatRequest polls one server for its heat snapshot and SLO signals.
 type GetHeatRequest struct{}
 
-func (r *GetHeatRequest) WireSize() int { return 0 }
-func (r *GetHeatRequest) Op() Op        { return OpGetHeat }
+func (r *GetHeatRequest) Op() Op { return OpGetHeat }
 
 // GetHeatResponse carries the per-tablet heat snapshot plus the dispatch
 // queue-wait p99 per priority level in microseconds — the signal the
@@ -837,10 +719,6 @@ type GetHeatResponse struct {
 	QueueWaitP99Micros []uint64
 }
 
-func (r *GetHeatResponse) WireSize() int {
-	// status(1) + tablet count(4) + entries + p99 count(4) + entries
-	return 9 + tabletHeatSize*len(r.Tablets) + 8*len(r.QueueWaitP99Micros)
-}
 func (r *GetHeatResponse) Op() Op { return OpGetHeat }
 
 // RebalanceControlRequest drives the coordinator's rebalancer loop from
@@ -851,8 +729,7 @@ type RebalanceControlRequest struct {
 	Disable bool
 }
 
-func (r *RebalanceControlRequest) WireSize() int { return 2 }
-func (r *RebalanceControlRequest) Op() Op        { return OpRebalanceControl }
+func (r *RebalanceControlRequest) Op() Op { return OpRebalanceControl }
 
 // RebalanceControlResponse reports the loop's state and lifetime counters.
 type RebalanceControlResponse struct {
@@ -867,9 +744,7 @@ type RebalanceControlResponse struct {
 	Backoffs   uint64
 }
 
-// WireSize is status(1) + enabled(1) + backingOff(1) + 4 counters.
-func (r *RebalanceControlResponse) WireSize() int { return 35 }
-func (r *RebalanceControlResponse) Op() Op        { return OpRebalanceControl }
+func (r *RebalanceControlResponse) Op() Op { return OpRebalanceControl }
 
 // ---------------------------------------------------------------------------
 // Durable backup storage
@@ -879,8 +754,7 @@ func (r *RebalanceControlResponse) Op() Op        { return OpRebalanceControl }
 // store counters (`rocksteady-cli backup status`).
 type BackupStatusRequest struct{}
 
-func (r *BackupStatusRequest) WireSize() int { return 0 }
-func (r *BackupStatusRequest) Op() Op        { return OpBackupStatus }
+func (r *BackupStatusRequest) Op() Op { return OpBackupStatus }
 
 // BackupStatusResponse reports a backup's segment store state.
 type BackupStatusResponse struct {
@@ -898,9 +772,7 @@ type BackupStatusResponse struct {
 	SyncLag uint64
 }
 
-// WireSize is status(1) + persistent(1) + 5 counters.
-func (r *BackupStatusResponse) WireSize() int { return 42 }
-func (r *BackupStatusResponse) Op() Op        { return OpBackupStatus }
+func (r *BackupStatusResponse) Op() Op { return OpBackupStatus }
 
 // RecoverMasterRequest asks the coordinator to rebuild a master's data
 // from the backup segment replicas live servers hold for it — the
@@ -911,8 +783,7 @@ type RecoverMasterRequest struct {
 	Master ServerID
 }
 
-func (r *RecoverMasterRequest) WireSize() int { return 8 }
-func (r *RecoverMasterRequest) Op() Op        { return OpRecoverMaster }
+func (r *RecoverMasterRequest) Op() Op { return OpRecoverMaster }
 
 // RecoverMasterResponse reports what the cold recovery replayed.
 type RecoverMasterResponse struct {
@@ -923,8 +794,7 @@ type RecoverMasterResponse struct {
 	Records  uint64
 }
 
-func (r *RecoverMasterResponse) WireSize() int { return 17 }
-func (r *RecoverMasterResponse) Op() Op        { return OpRecoverMaster }
+func (r *RecoverMasterResponse) Op() Op { return OpRecoverMaster }
 
 // ---------------------------------------------------------------------------
 // Health
@@ -933,11 +803,9 @@ func (r *RecoverMasterResponse) Op() Op        { return OpRecoverMaster }
 // PingRequest checks liveness.
 type PingRequest struct{}
 
-func (r *PingRequest) WireSize() int { return 0 }
-func (r *PingRequest) Op() Op        { return OpPing }
+func (r *PingRequest) Op() Op { return OpPing }
 
 // PingResponse answers a ping.
 type PingResponse struct{ Status Status }
 
-func (r *PingResponse) WireSize() int { return 1 }
-func (r *PingResponse) Op() Op        { return OpPing }
+func (r *PingResponse) Op() Op { return OpPing }

@@ -70,11 +70,11 @@ func TestPooledRoundtripAllocs(t *testing.T) {
 
 func TestMarshalPooledMatchesMarshal(t *testing.T) {
 	msg := poolTestMessage()
-	plain := MarshalMessage(msg)
+	plain := AppendMessage(nil, msg)
 	fb := MarshalMessagePooled(msg)
 	defer ReleaseBuffer(fb)
 	if !bytes.Equal(plain, fb.B) {
-		t.Fatalf("pooled marshal bytes differ from MarshalMessage")
+		t.Fatalf("pooled marshal bytes differ from AppendMessage")
 	}
 }
 
@@ -137,26 +137,30 @@ func TestRecordSlicePoolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeCountGuards feeds each length-prefixed decoder a count far larger
+// TestDecodeCountGuards feeds each list element type a count far larger
 // than the remaining bytes: decoding must fail with ErrTruncated instead of
 // pre-allocating gigabytes for a corrupt frame.
 func TestDecodeCountGuards(t *testing.T) {
-	huge := func() []byte {
-		var e Encoder
-		e.U32(1 << 30)
-		return e.Bytes()
+	cases := map[string]func(c *codec){
+		"Records":   func(c *codec) { var s []Record; seq(c, &s) },
+		"Blobs":     func(c *codec) { var s [][]byte; seq(c, &s) },
+		"U64s":      func(c *codec) { var s []uint64; seq(c, &s) },
+		"Statuses":  func(c *codec) { var s []Status; seq(c, &s) },
+		"ServerIDs": func(c *codec) { var s []ServerID; seq(c, &s) },
+		"Chunks":    func(c *codec) { var s []ReplicateChunk; seq(c, &s) },
+		"Segments":  func(c *codec) { var s []BackupSegment; seq(c, &s) },
+		"Tablets":   func(c *codec) { var s []Tablet; seq(c, &s) },
+		"Indexlets": func(c *codec) { var s []Indexlet; seq(c, &s) },
+		"Heat":      func(c *codec) { var s []TabletHeat; seq(c, &s) },
 	}
-	cases := map[string]func(d *Decoder){
-		"Records":  func(d *Decoder) { d.Records() },
-		"Blobs":    func(d *Decoder) { d.Blobs() },
-		"U64s":     func(d *Decoder) { d.U64s() },
-		"Statuses": func(d *Decoder) { d.Statuses() },
-	}
+	huge := uint32(1 << 30)
+	enc := codec{mode: encoding}
+	u32(&enc, &huge)
 	for name, decode := range cases {
-		d := NewDecoder(huge())
-		decode(d)
-		if d.Err() == nil {
-			t.Fatalf("%s: corrupt count decoded without error", name)
+		d := codec{mode: decoding, buf: enc.buf}
+		decode(&d)
+		if d.err != ErrTruncated {
+			t.Fatalf("%s: corrupt count decoded with error %v, want ErrTruncated", name, d.err)
 		}
 	}
 }
@@ -164,20 +168,23 @@ func TestDecodeCountGuards(t *testing.T) {
 // TestDecoderAliased verifies the flag the TCP read loop uses to decide
 // whether a frame buffer can be recycled.
 func TestDecoderAliased(t *testing.T) {
-	var e Encoder
-	e.U64(1)
-	e.U64(2)
-	d := NewDecoder(e.Bytes())
-	d.U64()
-	d.U64()
-	if d.Aliased() {
+	one, two := uint64(1), uint64(2)
+	enc := codec{mode: encoding}
+	u64(&enc, &one)
+	u64(&enc, &two)
+	d := codec{mode: decoding, buf: enc.buf}
+	u64(&d, &one)
+	u64(&d, &two)
+	if d.aliased {
 		t.Fatalf("scalar-only decode marked aliased")
 	}
-	e = Encoder{}
-	e.Blob([]byte("payload"))
-	d = NewDecoder(e.Bytes())
-	d.Blob()
-	if !d.Aliased() {
+	payload := []byte("payload")
+	enc = codec{mode: encoding}
+	blob(&enc, &payload)
+	d = codec{mode: decoding, buf: enc.buf}
+	var got []byte
+	blob(&d, &got)
+	if !d.aliased {
 		t.Fatalf("blob decode not marked aliased")
 	}
 }
@@ -188,7 +195,7 @@ func TestRecordsDecodePooled(t *testing.T) {
 	drainRecordSlices()
 	msg := poolTestMessage()
 	want := len(msg.Body.(*PullResponse).Records)
-	buf := MarshalMessage(msg)
+	buf := AppendMessage(nil, msg)
 	m, err := UnmarshalMessage(buf)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,7 @@
 //
 // Every request and response is a typed struct implementing Payload. The
 // in-process fabric passes these structs by pointer (modelling zero-copy
-// DMA); the TCP transport marshals them with the encoder in marshal.go.
+// DMA); the TCP transport marshals them with the codec in marshal.go.
 package wire
 
 import (
@@ -116,48 +116,80 @@ const (
 	OpRecoverMaster
 )
 
-var opNames = map[Op]string{
-	OpInvalid:           "Invalid",
-	OpRead:              "Read",
-	OpWrite:             "Write",
-	OpDelete:            "Delete",
-	OpMultiGet:          "MultiGet",
-	OpMultiPut:          "MultiPut",
-	OpMultiGetByHash:    "MultiGetByHash",
-	OpIndexLookup:       "IndexLookup",
-	OpIndexInsert:       "IndexInsert",
-	OpIndexRemove:       "IndexRemove",
-	OpMigrateTablet:     "MigrateTablet",
-	OpPrepareMigration:  "PrepareMigration",
-	OpPull:              "Pull",
-	OpPriorityPull:      "PriorityPull",
-	OpDropTablet:        "DropTablet",
-	OpReplicateSegment:  "ReplicateSegment",
-	OpGetTabletMap:      "GetTabletMap",
-	OpCreateTable:       "CreateTable",
-	OpCreateIndex:       "CreateIndex",
-	OpMigrateStart:      "MigrateStart",
-	OpMigrateDone:       "MigrateDone",
-	OpSplitTablet:       "SplitTablet",
-	OpEnlistServer:      "EnlistServer",
-	OpReportCrash:       "ReportCrash",
-	OpReplayRecords:     "ReplayRecords",
-	OpPullTail:          "PullTail",
-	OpGetBackupSegments: "GetBackupSegments",
-	OpTakeTablets:       "TakeTablets",
-	OpPing:              "Ping",
-	OpAbortMigration:    "AbortMigration",
-	OpReplicateBatch:    "ReplicateBatch",
-	OpGetHeat:           "GetHeat",
-	OpMergeTablets:      "MergeTablets",
-	OpRebalanceControl:  "RebalanceControl",
-	OpBackupStatus:      "BackupStatus",
-	OpRecoverMaster:     "RecoverMaster",
+// opInfo registers one operation: its name and the constructors of its
+// empty request and response bodies, which decoding fills in.
+type opInfo struct {
+	name      string
+	req, resp func() Payload
+}
+
+// ops is the operation registry, indexed by Op.
+var ops = [...]opInfo{
+	OpInvalid:           {name: "Invalid"},
+	OpRead:              {"Read", body[ReadRequest], body[ReadResponse]},
+	OpWrite:             {"Write", body[WriteRequest], body[WriteResponse]},
+	OpDelete:            {"Delete", body[DeleteRequest], body[DeleteResponse]},
+	OpMultiGet:          {"MultiGet", body[MultiGetRequest], body[MultiGetResponse]},
+	OpMultiPut:          {"MultiPut", body[MultiPutRequest], body[MultiPutResponse]},
+	OpMultiGetByHash:    {"MultiGetByHash", body[MultiGetByHashRequest], body[MultiGetByHashResponse]},
+	OpIndexLookup:       {"IndexLookup", body[IndexLookupRequest], body[IndexLookupResponse]},
+	OpIndexInsert:       {"IndexInsert", body[IndexInsertRequest], body[IndexInsertResponse]},
+	OpIndexRemove:       {"IndexRemove", body[IndexRemoveRequest], body[IndexRemoveResponse]},
+	OpMigrateTablet:     {"MigrateTablet", body[MigrateTabletRequest], body[MigrateTabletResponse]},
+	OpPrepareMigration:  {"PrepareMigration", body[PrepareMigrationRequest], body[PrepareMigrationResponse]},
+	OpPull:              {"Pull", body[PullRequest], body[PullResponse]},
+	OpPriorityPull:      {"PriorityPull", body[PriorityPullRequest], body[PriorityPullResponse]},
+	OpDropTablet:        {"DropTablet", body[DropTabletRequest], body[DropTabletResponse]},
+	OpReplicateSegment:  {"ReplicateSegment", body[ReplicateSegmentRequest], body[ReplicateSegmentResponse]},
+	OpGetTabletMap:      {"GetTabletMap", body[GetTabletMapRequest], body[GetTabletMapResponse]},
+	OpCreateTable:       {"CreateTable", body[CreateTableRequest], body[CreateTableResponse]},
+	OpCreateIndex:       {"CreateIndex", body[CreateIndexRequest], body[CreateIndexResponse]},
+	OpMigrateStart:      {"MigrateStart", body[MigrateStartRequest], body[MigrateStartResponse]},
+	OpMigrateDone:       {"MigrateDone", body[MigrateDoneRequest], body[MigrateDoneResponse]},
+	OpSplitTablet:       {"SplitTablet", body[SplitTabletRequest], body[SplitTabletResponse]},
+	OpEnlistServer:      {"EnlistServer", body[EnlistServerRequest], body[EnlistServerResponse]},
+	OpReportCrash:       {"ReportCrash", body[ReportCrashRequest], body[ReportCrashResponse]},
+	OpReplayRecords:     {"ReplayRecords", body[ReplayRecordsRequest], body[ReplayRecordsResponse]},
+	OpPullTail:          {"PullTail", body[PullTailRequest], body[PullTailResponse]},
+	OpGetBackupSegments: {"GetBackupSegments", body[GetBackupSegmentsRequest], body[GetBackupSegmentsResponse]},
+	OpTakeTablets:       {"TakeTablets", body[TakeTabletsRequest], body[TakeTabletsResponse]},
+	OpPing:              {"Ping", body[PingRequest], body[PingResponse]},
+	OpAbortMigration:    {"AbortMigration", body[AbortMigrationRequest], body[AbortMigrationResponse]},
+	OpReplicateBatch:    {"ReplicateBatch", body[ReplicateBatchRequest], body[ReplicateBatchResponse]},
+	OpGetHeat:           {"GetHeat", body[GetHeatRequest], body[GetHeatResponse]},
+	OpMergeTablets:      {"MergeTablets", body[MergeTabletsRequest], body[MergeTabletsResponse]},
+	OpRebalanceControl:  {"RebalanceControl", body[RebalanceControlRequest], body[RebalanceControlResponse]},
+	OpBackupStatus:      {"BackupStatus", body[BackupStatusRequest], body[BackupStatusResponse]},
+	OpRecoverMaster:     {"RecoverMaster", body[RecoverMasterRequest], body[RecoverMasterResponse]},
+}
+
+// body constructs an empty *T body.
+func body[T any, P interface {
+	*T
+	Payload
+}]() Payload {
+	return P(new(T))
+}
+
+// newBody returns an empty body for op in the given direction, or nil if
+// the op is not registered.
+func newBody(op Op, isResponse bool) Payload {
+	if int(op) >= len(ops) {
+		return nil
+	}
+	mk := ops[op].req
+	if isResponse {
+		mk = ops[op].resp
+	}
+	if mk == nil {
+		return nil
+	}
+	return mk()
 }
 
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if int(o) < len(ops) && ops[o].name != "" {
+		return ops[o].name
 	}
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
@@ -343,6 +375,7 @@ type Record struct {
 // WireSize returns the encoded size of the record, used by the fabric's
 // bandwidth model and by Pull byte budgets.
 func (r *Record) WireSize() int {
-	// table(8) + version(8) + flags(1) + keyLen(4) + valLen(4) + payload
-	return 25 + len(r.Key) + len(r.Value)
+	var c codec
+	record(&c, r)
+	return c.n
 }

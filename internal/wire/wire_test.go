@@ -248,8 +248,8 @@ func normalizeEmptySlices(v reflect.Value) {
 
 func TestMessageRoundTripAllTypes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, m := range sampleMessages(rng) {
-		buf := MarshalMessage(m)
+	for _, m := range append(sampleMessages(rng), registeredMessages()...) {
+		buf := AppendMessage(nil, m)
 		got, err := UnmarshalMessage(buf)
 		if err != nil {
 			t.Fatalf("%v: unmarshal: %v", m.Op, err)
@@ -262,33 +262,50 @@ func TestMessageRoundTripAllTypes(t *testing.T) {
 	}
 }
 
-// WireSize must be an upper bound close to the actual encoding for the
-// bandwidth model to be meaningful: check exact or slightly conservative.
+// registeredMessages returns one message per registered (op, direction),
+// carrying that body's zero value.
+func registeredMessages() []*Message {
+	var msgs []*Message
+	for op := range ops {
+		for _, resp := range []bool{false, true} {
+			if b := newBody(Op(op), resp); b != nil {
+				msgs = append(msgs, &Message{ID: 1, Op: Op(op), IsResponse: resp, Body: b})
+			}
+		}
+	}
+	return msgs
+}
+
+// TestRegistryBodiesMatchOp checks that each registered constructor builds
+// a body of its own op and direction.
+func TestRegistryBodiesMatchOp(t *testing.T) {
+	for _, m := range registeredMessages() {
+		if m.Body.Op() != m.Op || isResponsePayload(m.Body) != m.IsResponse {
+			t.Errorf("%v (resp=%v) builds %T", m.Op, m.IsResponse, m.Body)
+		}
+	}
+}
+
+// WireSize presizes marshal buffers and drives the fabric's bandwidth
+// model, so it must equal the encoded length exactly.
 func TestWireSizeMatchesEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, m := range sampleMessages(rng) {
-		enc := len(MarshalMessage(m))
-		ws := m.WireSize()
-		if enc > ws+16 || ws > enc+64 {
+	for _, m := range append(sampleMessages(rng), registeredMessages()...) {
+		if enc, ws := len(AppendMessage(nil, m)), m.WireSize(); enc != ws {
 			t.Errorf("%v (resp=%v): encoded %d bytes but WireSize %d", m.Op, m.IsResponse, enc, ws)
 		}
 	}
 }
 
+// Decoding consumes exactly the bytes encoding wrote, so every strict
+// prefix of a frame must fail to decode.
 func TestUnmarshalTruncated(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, m := range sampleMessages(rng) {
-		buf := MarshalMessage(m)
+	for _, m := range append(sampleMessages(rng), registeredMessages()...) {
+		buf := AppendMessage(nil, m)
 		for _, cut := range []int{1, len(buf) / 2, len(buf) - 1} {
-			if cut >= len(buf) {
-				continue
-			}
-			if _, err := UnmarshalMessage(buf[:cut]); err == nil {
-				// Empty-body messages survive header-only truncation of the
-				// trailing zero-length body; anything else must error.
-				if m.Body != nil && m.Body.WireSize() > 0 && cut < len(buf) {
-					t.Errorf("%v: no error for truncation at %d/%d", m.Op, cut, len(buf))
-				}
+			if _, err := UnmarshalMessage(buf[:cut]); err == nil && cut < m.WireSize() {
+				t.Errorf("%v (resp=%v): no error for truncation at %d/%d", m.Op, m.IsResponse, cut, len(buf))
 			}
 		}
 	}
@@ -300,20 +317,33 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 	// Unknown opcode.
 	m := &Message{ID: 1, Op: Op(200), Body: nil}
-	buf := MarshalMessage(m)
+	buf := AppendMessage(nil, m)
 	if _, err := UnmarshalMessage(buf); err == nil {
 		t.Error("expected error for unknown opcode")
 	}
 }
 
+// encode runs f in encoding mode and checks that sizing mode counts the
+// same number of bytes.
+func encode(t *testing.T, f func(c *codec)) []byte {
+	t.Helper()
+	var size codec
+	f(&size)
+	enc := codec{mode: encoding}
+	f(&enc)
+	if size.n != len(enc.buf) {
+		t.Fatalf("sized %d bytes, encoded %d", size.n, len(enc.buf))
+	}
+	return enc.buf
+}
+
 func TestRecordRoundTripQuick(t *testing.T) {
 	f := func(table uint64, version uint64, key, value []byte, tomb bool) bool {
 		r := Record{Table: TableID(table), Version: version, Key: key, Value: value, Tombstone: tomb}
-		e := NewEncoder(nil)
-		e.Record(&r)
-		d := NewDecoder(e.Bytes())
-		got := d.Record()
-		if d.Err() != nil {
+		d := codec{mode: decoding, buf: encode(t, func(c *codec) { record(c, &r) })}
+		var got Record
+		record(&d, &got)
+		if d.err != nil || d.off != len(d.buf) || r.WireSize() != len(d.buf) {
 			return false
 		}
 		return got.Table == r.Table && got.Version == r.Version && got.Tombstone == r.Tombstone &&
@@ -325,30 +355,33 @@ func TestRecordRoundTripQuick(t *testing.T) {
 }
 
 func TestEncoderDecoderPrimitivesQuick(t *testing.T) {
-	f := func(a uint8, b uint32, c uint64, blob []byte, vs []uint64) bool {
-		e := NewEncoder(nil)
-		e.U8(a)
-		e.U32(b)
-		e.U64(c)
-		e.Blob(blob)
-		e.U64s(vs)
-		d := NewDecoder(e.Bytes())
-		if d.U8() != a || d.U32() != b || d.U64() != c {
-			return false
+	f := func(a uint8, b uint32, c uint64, blobIn []byte, vs []uint64) bool {
+		fieldsOf := func(cd *codec, a *uint8, b *uint32, c *uint64, bl *[]byte, vs *[]uint64) {
+			u8(cd, a)
+			u32(cd, b)
+			u64(cd, c)
+			blob(cd, bl)
+			seq(cd, vs)
 		}
-		if !bytes.Equal(d.Blob(), blob) {
-			return false
-		}
-		got := d.U64s()
-		if len(got) != len(vs) {
+		buf := encode(t, func(cd *codec) { fieldsOf(cd, &a, &b, &c, &blobIn, &vs) })
+		d := codec{mode: decoding, buf: buf}
+		var (
+			a2 uint8
+			b2 uint32
+			c2 uint64
+			bl []byte
+			v2 []uint64
+		)
+		fieldsOf(&d, &a2, &b2, &c2, &bl, &v2)
+		if d.err != nil || a2 != a || b2 != b || c2 != c || !bytes.Equal(bl, blobIn) || len(v2) != len(vs) {
 			return false
 		}
 		for i := range vs {
-			if got[i] != vs[i] {
+			if v2[i] != vs[i] {
 				return false
 			}
 		}
-		return d.Err() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
