@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build check test race vet lint fuzz faults faults-persist stress-write bench bench-scale bench-rebalance bench-durability bins clean
+.PHONY: all build check test race vet lint fuzz faults faults-persist stress-write bench bench-scale bench-rebalance bench-durability bench-pairs bins clean
 
 all: build
 
@@ -99,6 +99,16 @@ bench-durability:
 bench-rebalance:
 	$(GO) test -run xxx -bench BenchmarkRebalanceSkew -benchtime 12000x -count=1 ./internal/cluster
 	BENCH_REBALANCE_JSON=$(CURDIR)/BENCH_hotpath.json $(GO) test -run TestRebalanceBenchArtifact -count=1 -v ./internal/cluster
+
+# bench-pairs compares the working tree with BASE on the end-to-end
+# benchmark (benchmark/run.sh) in PAIRS alternating pairs per workload.
+# Every run is contained in its own process group and killed after it;
+# results land in bench-pairs/ (see scripts/bench-pairs.sh).
+BASE ?= HEAD
+PAIRS ?= 10
+WORKLOADS ?= ycsb_b_tcp ycsb_a_repl migrate_loaded crash_recovery
+bench-pairs:
+	bash scripts/bench-pairs.sh $(BASE) $(PAIRS) "$(WORKLOADS)"
 
 bins:
 	$(GO) build -o bin/ ./cmd/...

@@ -54,7 +54,7 @@ func TestHotpathAllocBudgets(t *testing.T) {
 // Get that both reads the seqlock and bumps a heat bucket must still not
 // allocate.
 func TestHeatSampledGetZeroAllocs(t *testing.T) {
-	l := storage.NewLog(1<<16, nil)
+	l := storage.NewShardedLog(1<<16, 1, nil)
 	ht := storage.NewHashTable(1024)
 	hm := storage.NewHeatMap(1, 0)
 	hm.RegisterTable(1)

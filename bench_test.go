@@ -216,7 +216,7 @@ func BenchmarkHeadline(b *testing.B) {
 
 // BenchmarkLogAppend measures raw log append throughput (100 B objects).
 func BenchmarkLogAppend(b *testing.B) {
-	l := storage.NewLog(1<<22, nil)
+	l := storage.NewShardedLog(1<<22, 1, nil)
 	key := make([]byte, 30)
 	value := make([]byte, 100)
 	b.SetBytes(int64(storage.EntrySize(30, 100)))
@@ -230,7 +230,7 @@ func BenchmarkLogAppend(b *testing.B) {
 
 // BenchmarkHashTableGet measures primary-key index lookups.
 func BenchmarkHashTableGet(b *testing.B) {
-	l := storage.NewLog(1<<22, nil)
+	l := storage.NewShardedLog(1<<22, 1, nil)
 	ht := storage.NewHashTable(1 << 16)
 	keys := make([][]byte, 10_000)
 	hashes := make([]uint64, len(keys))

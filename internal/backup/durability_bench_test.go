@@ -4,7 +4,7 @@ package backup
 // the SegmentStore backends: MemStore (no durability cost), FileStore
 // with the batched group fsync, and FileStore syncing every append (the
 // unbatched baseline the group fsync must beat). Concurrent replication
-// streams drive Store.HandleReplicate, whose ack-after-Sync contract is
+// streams drive Store.HandleReplicateBatch, whose ack-after-Sync contract is
 // exactly what a master's group commit waits on — so the MB/s here is
 // the durable replication ceiling a backup contributes.
 //

@@ -110,8 +110,8 @@ func (r *Replicator) BytesSent() int64 {
 	return r.bytesSent
 }
 
-// OnAppend accepts a log append event; wire it to storage.NewLog. It never
-// blocks the log append path.
+// OnAppend accepts a log append event; pass it as the AppendFunc of
+// storage.NewShardedLog. It never blocks the log append path.
 func (r *Replicator) OnAppend(ev storage.AppendEvent) {
 	if !r.Enabled() {
 		return
@@ -187,74 +187,13 @@ func (r *Replicator) markDead(b wire.ServerID) {
 	r.mu.Unlock()
 }
 
-// awaitReplicas waits for a batch of per-replica calls grouped by batch
-// index and returns the per-batch success counts. A replica whose RPC
-// fails gets one synchronous retry (ReplicateSegment is idempotent: the
-// backup rewrites prefixes) so a transient fault — an injected drop, a
-// momentary queue overflow — does not permanently shrink the backup set.
-// A replica that fails twice is marked dead; durability degrades rather
-// than halting the master — the availability call RAMCloud makes, with
-// recovery and full-segment re-replication responsible for restoring
-// redundancy.
-func (r *Replicator) awaitReplicas(ctx context.Context, calls []*transport.Call, backups []wire.ServerID, batch []int, reqs []*wire.ReplicateSegmentRequest, nbatches int) []int {
-	okPerBatch := make([]int, nbatches)
-	for i, c := range calls {
-		reply, err := c.Wait()
-		if err != nil {
-			reply, err = r.node.Call(ctx, backups[i], wire.PriorityReplication, reqs[i])
-		}
-		if err != nil {
-			r.markDead(backups[i])
-			continue
-		}
-		if resp, ok := reply.(*wire.ReplicateSegmentResponse); !ok || resp.Status != wire.StatusOK {
-			r.markDead(backups[i])
-			continue
-		}
-		okPerBatch[batch[i]]++
-	}
-	return okPerBatch
-}
-
-// replicateWholeSegment sends a segment's full contents to one live backup
-// (failover after a replica loss: a delta append would leave a gap, so the
-// replacement gets the whole prefix).
-func (r *Replicator) replicateWholeSegment(ctx context.Context, seg *storage.Segment) error {
-	if seg == nil {
-		return fmt.Errorf("%w: segment vanished during failover", ErrReplicationFailed)
-	}
-	req := &wire.ReplicateSegmentRequest{
-		Master:    r.master,
-		LogID:     seg.LogID,
-		SegmentID: seg.ID,
-		Offset:    0,
-		Data:      seg.Data(0, seg.Len()),
-		Close:     seg.Sealed(),
-	}
-	for attempt := 0; attempt < len(r.backups); attempt++ {
-		targets := r.backupsFor(seg.ID)
-		if len(targets) == 0 {
-			break
-		}
-		reply, err := r.node.Call(ctx, targets[0], wire.PriorityReplication, req)
-		if err != nil {
-			r.markDead(targets[0])
-			continue
-		}
-		if resp, ok := reply.(*wire.ReplicateSegmentResponse); ok && resp.Status == wire.StatusOK {
-			return nil
-		}
-		r.markDead(targets[0])
-	}
-	return fmt.Errorf("%w: no live backup for segment %d", ErrReplicationFailed, seg.ID)
-}
-
-// segChunk is one coalesced contiguous span of one segment's bytes.
+// segChunk is one contiguous span of one segment's bytes bound for the
+// segment's replicas.
 type segChunk struct {
-	logID, segID uint64
-	offset       int
-	data         []byte
-	seal         bool
+	wire.ReplicateChunk
+	// seg is the whole segment when the caller holds it (side logs);
+	// otherwise failover looks it up through the segment resolver.
+	seg *storage.Segment
 }
 
 // coalesceChunks folds a run of append events into contiguous per-segment
@@ -265,159 +204,174 @@ func coalesceChunks(batch []storage.AppendEvent) []segChunk {
 	var out []segChunk
 	for _, ev := range batch {
 		n := len(out)
-		if n > 0 && out[n-1].segID == ev.SegmentID && out[n-1].logID == ev.LogID &&
-			!out[n-1].seal && out[n-1].offset+len(out[n-1].data) == ev.Offset {
-			out[n-1].data = append(out[n-1].data, ev.Data...)
-			out[n-1].seal = ev.Sealed
+		if n > 0 && out[n-1].SegmentID == ev.SegmentID && out[n-1].LogID == ev.LogID &&
+			!out[n-1].Close && int(out[n-1].Offset)+len(out[n-1].Data) == ev.Offset {
+			out[n-1].Data = append(out[n-1].Data, ev.Data...)
+			out[n-1].Close = ev.Sealed
 			continue
 		}
 		data := make([]byte, len(ev.Data))
 		copy(data, ev.Data)
-		out = append(out, segChunk{
-			logID: ev.LogID, segID: ev.SegmentID, offset: ev.Offset,
-			data: data, seal: ev.Sealed,
-		})
+		out = append(out, segChunk{ReplicateChunk: wire.ReplicateChunk{
+			LogID: ev.LogID, SegmentID: ev.SegmentID, Offset: uint32(ev.Offset),
+			Data: data, Close: ev.Sealed,
+		}})
 	}
 	return out
+}
+
+// replicaRPC is one ReplicateBatch RPC of a send: its backup and the
+// indexes of the chunks it carries, in request order.
+type replicaRPC struct {
+	to   wire.ServerID
+	idxs []int
+	req  *wire.ReplicateBatchRequest
+	call *transport.Call
+}
+
+// send is the one writer of replica bytes: group commit, side-log
+// re-replication and failover all go through it. Each chunk goes to its
+// segment's replicas (backupsFor), every RPC in flight at once. perChunk
+// picks the RPC shape: false packs all chunks bound for one backup into
+// one request (group commit: one RPC per backup per flush); true sends
+// one one-chunk request per (chunk, replica), so no backup worker runs a
+// many-megabyte batch to completion. It returns how many RPCs it issued,
+// not counting retries and failover.
+//
+// The failure policy: a failed RPC gets one synchronous retry (a batch is
+// idempotent: the store rewrites prefixes), so a transient fault does not
+// shrink the backup set; a second failure marks the backup dead —
+// durability degrades rather than halting the master, the availability
+// call RAMCloud makes. A chunk that no replica acked is covered by
+// re-sending its whole segment, once per segment, to a live backup: a
+// delta would leave a gap on a backup that never saw the prefix.
+func (r *Replicator) send(ctx context.Context, chunks []segChunk, perChunk bool) (int, error) {
+	var rpcs []*replicaRPC
+	byBackup := make(map[wire.ServerID]*replicaRPC)
+	var sent int64
+	for i := range chunks {
+		for _, b := range r.backupsFor(chunks[i].SegmentID) {
+			rpc := byBackup[b]
+			if rpc == nil || perChunk {
+				rpc = &replicaRPC{to: b, req: &wire.ReplicateBatchRequest{Master: r.master}}
+				byBackup[b] = rpc
+				rpcs = append(rpcs, rpc)
+			}
+			rpc.idxs = append(rpc.idxs, i)
+			rpc.req.Chunks = append(rpc.req.Chunks, chunks[i].ReplicateChunk)
+			sent += int64(len(chunks[i].Data))
+		}
+	}
+	for _, rpc := range rpcs {
+		rpc.call = r.node.Go(ctx, rpc.to, wire.PriorityReplication, rpc.req)
+	}
+	acks := make([]int, len(chunks))
+	for _, rpc := range rpcs {
+		resp := r.await(ctx, rpc.to, rpc.req, rpc.call)
+		for j, ci := range rpc.idxs {
+			if acked(resp, j) {
+				acks[ci]++
+			}
+		}
+	}
+
+	resent := make(map[[2]uint64]bool)
+	for i := range chunks {
+		c := &chunks[i]
+		key := [2]uint64{c.LogID, c.SegmentID}
+		if acks[i] > 0 || resent[key] {
+			continue
+		}
+		resent[key] = true
+		seg := c.seg
+		if seg == nil && r.resolve != nil {
+			seg = r.resolve(c.LogID, c.SegmentID)
+		}
+		if seg == nil {
+			return len(rpcs), fmt.Errorf("%w: segment %d vanished during failover", ErrReplicationFailed, c.SegmentID)
+		}
+		req := &wire.ReplicateBatchRequest{Master: r.master, Chunks: []wire.ReplicateChunk{{
+			LogID: c.LogID, SegmentID: c.SegmentID, Data: seg.Data(0, seg.Len()), Close: c.Close || seg.Sealed(),
+		}}}
+		for {
+			if err := ctx.Err(); err != nil {
+				return len(rpcs), context.Cause(ctx)
+			}
+			targets := r.backupsFor(c.SegmentID)
+			if len(targets) == 0 {
+				return len(rpcs), fmt.Errorf("%w: no live backup for segment %d", ErrReplicationFailed, c.SegmentID)
+			}
+			resp := r.await(ctx, targets[0], req, r.node.Go(ctx, targets[0], wire.PriorityReplication, req))
+			if acked(resp, 0) {
+				break
+			}
+			if resp != nil {
+				r.markDead(targets[0]) // it rejected even the whole segment
+			}
+		}
+	}
+
+	r.mu.Lock()
+	r.bytesSent += sent
+	r.mu.Unlock()
+	return len(rpcs), nil
+}
+
+// await waits for one of send's RPCs, retrying it once synchronously, and
+// marks the backup dead if both attempts fail. It returns nil on failure.
+// A failure caused by the caller's own ctx marks nothing dead: the backup
+// did nothing wrong.
+func (r *Replicator) await(ctx context.Context, b wire.ServerID, req *wire.ReplicateBatchRequest, call *transport.Call) *wire.ReplicateBatchResponse {
+	reply, err := call.Wait()
+	if err != nil {
+		reply, err = r.node.Call(ctx, b, wire.PriorityReplication, req)
+	}
+	resp, ok := reply.(*wire.ReplicateBatchResponse)
+	if (err != nil || !ok) && ctx.Err() == nil {
+		r.markDead(b)
+	}
+	return resp
+}
+
+// acked reports whether resp acknowledges the i-th chunk of its request.
+func acked(resp *wire.ReplicateBatchResponse, i int) bool {
+	return resp != nil && i < len(resp.ChunkStatuses) && resp.ChunkStatuses[i] == wire.StatusOK
 }
 
 // flush ships a batch of events as group commit: all pending chunks bound
 // for one backup travel in a single ReplicateBatch RPC, so each flush
 // costs one RPC per backup regardless of how many shards appended. The
-// whole payload is assembled and marshaled here, outside the replicator's
+// whole payload is assembled and marshaled outside the replicator's
 // mutex — Sync snapshots pending and releases mu before calling flush.
 func (r *Replicator) flush(batch []storage.AppendEvent) error {
 	start := time.Now()
-	coalesced := coalesceChunks(batch)
-
-	// Group chunks by destination backup, preserving chunk order within
-	// each backup's request (replicas of one segment must apply in order).
-	perBackup := make(map[wire.ServerID][]int)
-	var order []wire.ServerID
-	for ci := range coalesced {
-		for _, b := range r.backupsFor(coalesced[ci].segID) {
-			if _, ok := perBackup[b]; !ok {
-				order = append(order, b)
-			}
-			perBackup[b] = append(perBackup[b], ci)
-		}
+	chunks := coalesceChunks(batch)
+	rpcs, err := r.send(r.root, chunks, false)
+	if err != nil {
+		return err
 	}
-
-	var sent int64
-	reqs := make([]*wire.ReplicateBatchRequest, len(order))
-	calls := make([]*transport.Call, len(order))
-	for i, b := range order {
-		idxs := perBackup[b]
-		req := &wire.ReplicateBatchRequest{
-			Master: r.master,
-			Chunks: make([]wire.ReplicateChunk, 0, len(idxs)),
-		}
-		for _, ci := range idxs {
-			c := &coalesced[ci]
-			req.Chunks = append(req.Chunks, wire.ReplicateChunk{
-				LogID: c.logID, SegmentID: c.segID, Offset: uint32(c.offset),
-				Data: c.data, Close: c.seal,
-			})
-			sent += int64(len(c.data))
-		}
-		reqs[i] = req
-		calls[i] = r.node.Go(r.root, b, wire.PriorityReplication, req)
-	}
-
-	// Await each backup's ack; one synchronous retry on failure (the batch
-	// is idempotent: the store rewrites prefixes), then mark it dead —
-	// durability degrades rather than halting the master.
-	okPerChunk := make([]int, len(coalesced))
-	for i, b := range order {
-		reply, err := calls[i].Wait()
-		if err != nil {
-			reply, err = r.node.Call(r.root, b, wire.PriorityReplication, reqs[i])
-		}
-		if err != nil {
-			r.markDead(b)
-			continue
-		}
-		resp, ok := reply.(*wire.ReplicateBatchResponse)
-		if !ok {
-			r.markDead(b)
-			continue
-		}
-		for j, ci := range perBackup[b] {
-			if j < len(resp.ChunkStatuses) && resp.ChunkStatuses[j] == wire.StatusOK {
-				okPerChunk[ci]++
-			}
-		}
-	}
-
-	// Chunks that landed on no replica fall back to whole-segment
-	// re-replication against the surviving backup set.
-	for ci, n := range okPerChunk {
-		if n > 0 {
-			continue
-		}
-		var seg *storage.Segment
-		if r.resolve != nil {
-			seg = r.resolve(coalesced[ci].logID, coalesced[ci].segID)
-		}
-		if err := r.replicateWholeSegment(r.root, seg); err != nil {
-			return err
-		}
-	}
-
 	r.flushes.Add(1)
 	r.flushEvents.Add(int64(len(batch)))
-	r.flushChunks.Add(int64(len(coalesced)))
-	r.flushRPCs.Add(int64(len(order)))
+	r.flushChunks.Add(int64(len(chunks)))
+	r.flushRPCs.Add(int64(rpcs))
 	r.flushNanos.Add(time.Since(start).Nanoseconds())
-	r.mu.Lock()
-	r.bytesSent += sent
-	r.mu.Unlock()
 	return nil
 }
 
-// ReplicateSegments ships whole segments (sealed side logs at migration
-// end — the *lazy* re-replication of §3.4). Events bypass the pending
-// queue: the caller owns ordering, so unlike Sync the caller's ctx
-// governs every RPC.
+// ReplicateSegments ships whole segments (side logs at migration end —
+// the *lazy* re-replication of §3.4), one RPC per (segment, replica), all
+// in flight at once. Events bypass the pending queue: the caller owns
+// ordering, so unlike Sync the caller's ctx governs every RPC.
 func (r *Replicator) ReplicateSegments(ctx context.Context, segs []*storage.Segment) error {
 	if !r.Enabled() {
 		return nil
 	}
-	var calls []*transport.Call
-	var callBackups []wire.ServerID
-	var callBatch []int
-	var callReqs []*wire.ReplicateSegmentRequest
-	var sent int64
-	for bi, seg := range segs {
-		data := seg.Data(0, seg.Len())
-		req := &wire.ReplicateSegmentRequest{
-			Master:    r.master,
-			LogID:     seg.LogID,
-			SegmentID: seg.ID,
-			Offset:    0,
-			Data:      data,
-			Close:     true,
-		}
-		for _, b := range r.backupsFor(seg.ID) {
-			calls = append(calls, r.node.Go(ctx, b, wire.PriorityReplication, req))
-			callBackups = append(callBackups, b)
-			callBatch = append(callBatch, bi)
-			callReqs = append(callReqs, req)
-			sent += int64(len(data))
-		}
-		seg.SetReplicatedTo(seg.Len())
+	chunks := make([]segChunk, len(segs))
+	for i, seg := range segs {
+		chunks[i] = segChunk{seg: seg, ReplicateChunk: wire.ReplicateChunk{
+			LogID: seg.LogID, SegmentID: seg.ID, Data: seg.Data(0, seg.Len()), Close: true,
+		}}
 	}
-	okPerBatch := r.awaitReplicas(ctx, calls, callBackups, callBatch, callReqs, len(segs))
-	for bi, n := range okPerBatch {
-		if n > 0 {
-			continue
-		}
-		if err := r.replicateWholeSegment(ctx, segs[bi]); err != nil {
-			return err
-		}
-	}
-	r.mu.Lock()
-	r.bytesSent += sent
-	r.mu.Unlock()
-	return nil
+	_, err := r.send(ctx, chunks, true)
+	return err
 }

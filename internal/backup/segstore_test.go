@@ -421,13 +421,11 @@ func TestHandleGetSegmentsPaging(t *testing.T) {
 	s := NewStore()
 	// Five 100-byte segments plus one oversized 1000-byte segment.
 	for i := 0; i < 5; i++ {
-		s.HandleReplicate(&wire.ReplicateSegmentRequest{
-			Master: 5, LogID: 0, SegmentID: uint64(i), Data: bytes.Repeat([]byte{byte(i)}, 100), Close: true,
+		replicate(s, 5, wire.ReplicateChunk{
+			LogID: 0, SegmentID: uint64(i), Data: bytes.Repeat([]byte{byte(i)}, 100), Close: true,
 		})
 	}
-	s.HandleReplicate(&wire.ReplicateSegmentRequest{
-		Master: 5, LogID: 1, SegmentID: 0, Data: bytes.Repeat([]byte{9}, 1000),
-	})
+	replicate(s, 5, wire.ReplicateChunk{LogID: 1, SegmentID: 0, Data: bytes.Repeat([]byte{9}, 1000)})
 
 	var got []wire.BackupSegment
 	var pages int
@@ -475,7 +473,7 @@ func TestHandleGetSegmentsPaging(t *testing.T) {
 // TestHandleStatus pins the RPC the CLI's `backup status` verb reads.
 func TestHandleStatus(t *testing.T) {
 	s := NewStore()
-	s.HandleReplicate(&wire.ReplicateSegmentRequest{Master: 5, SegmentID: 1, Data: []byte("abc"), Close: true})
+	replicate(s, 5, wire.ReplicateChunk{SegmentID: 1, Data: []byte("abc"), Close: true})
 	resp := s.HandleStatus(&wire.BackupStatusRequest{})
 	if resp.Status != wire.StatusOK || resp.Persistent {
 		t.Fatalf("mem status: %+v", resp)
@@ -487,7 +485,7 @@ func TestHandleStatus(t *testing.T) {
 	fs := openFileStore(t, t.TempDir())
 	sf := NewStoreWith(fs)
 	defer sf.Close()
-	sf.HandleReplicate(&wire.ReplicateSegmentRequest{Master: 5, SegmentID: 1, Data: []byte("abc")})
+	replicate(sf, 5, wire.ReplicateChunk{SegmentID: 1, Data: []byte("abc")})
 	if resp := sf.HandleStatus(&wire.BackupStatusRequest{}); !resp.Persistent || resp.SyncLag != 0 {
 		t.Fatalf("file status: %+v", resp)
 	}

@@ -60,27 +60,14 @@ func (s *Store) BytesWritten() int64 {
 	return s.seg.Stats().BytesWritten
 }
 
-// HandleReplicate applies one replication request: append Data at Offset
-// of the replica, creating it if needed. The OK status is an ack that the
-// bytes are durable — it is only returned after the backend's Sync.
-func (s *Store) HandleReplicate(req *wire.ReplicateSegmentRequest) wire.Status {
-	s.throttle(len(req.Data))
-	st := s.seg.Append(req.Master, req.LogID, req.SegmentID, req.Offset, req.Data, req.Close)
-	if st != wire.StatusOK {
-		return st
-	}
-	if err := s.seg.Sync(); err != nil {
-		return wire.StatusInternalError
-	}
-	return wire.StatusOK
-}
-
-// HandleReplicateBatch applies a group-commit batch: every chunk is
-// applied, then ONE backend Sync covers them all — the group-fsync
-// mirror of the replicator's group commit — before any chunk is
-// acknowledged. Chunks are acknowledged individually so the master can
-// re-replicate exactly the chunks that failed; a failed sync fails every
-// chunk, because none of them is durable.
+// HandleReplicateBatch applies a replication batch, the only replica
+// write: each chunk appends its bytes at its offset of a replica, creating
+// the replica if needed. Every chunk is applied, then ONE backend Sync
+// covers them all — the group-fsync mirror of the replicator's group
+// commit — before any chunk is acknowledged, so an OK is an ack that the
+// bytes are durable. Chunks are acknowledged individually so the master
+// can re-replicate exactly the chunks that failed; a failed sync fails
+// every chunk, because none of them is durable.
 func (s *Store) HandleReplicateBatch(req *wire.ReplicateBatchRequest) *wire.ReplicateBatchResponse {
 	total := 0
 	for i := range req.Chunks {

@@ -46,7 +46,7 @@ func CleanerUtilization(p Params, utilizations []float64) ([]CleanerRow, error) 
 
 func cleanerRun(p Params, utilization float64) (CleanerRow, error) {
 	const segSize = 64 << 10
-	log := storage.NewLog(segSize, nil)
+	log := storage.NewShardedLog(segSize, 1, nil)
 	ht := storage.NewHashTable(p.Objects)
 	cleaner := storage.NewCleaner(log, ht)
 	cleaner.WriteCostThreshold = 0.98

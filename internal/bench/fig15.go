@@ -55,7 +55,7 @@ func Fig15PullReplayScalability(p Params, threadCounts []int, objectSizes []int)
 // fig15Load builds a loaded source: log + hash table with Objects records
 // of the given value size.
 func fig15Load(p Params, valueSize int) (*storage.Log, *storage.HashTable, error) {
-	log := storage.NewLog(1<<22, nil)
+	log := storage.NewShardedLog(1<<22, 1, nil)
 	ht := storage.NewHashTable(p.Objects * 2)
 	value := make([]byte, valueSize)
 	for i := 0; i < p.Objects; i++ {
@@ -150,7 +150,7 @@ func fig15Target(p Params, valueSize, threads int) (Fig15Point, error) {
 		batches[t] = recs
 	}
 
-	mainLog := storage.NewLog(1<<22, nil)
+	mainLog := storage.NewShardedLog(1<<22, 1, nil)
 	ht := storage.NewHashTable(p.Objects * 2)
 	window := time.Duration(p.Seconds) * time.Second / 16
 	if window < 200*time.Millisecond {

@@ -10,6 +10,7 @@ import (
 
 	"rocksteady/internal/client"
 	"rocksteady/internal/core"
+	"rocksteady/internal/faultinject"
 	"rocksteady/internal/server"
 	"rocksteady/internal/transport"
 	"rocksteady/internal/wire"
@@ -766,11 +767,13 @@ func TestConcurrentMigrationsRejectedOnOverlap(t *testing.T) {
 }
 
 func TestPartitionDuringMigrationThenRecovery(t *testing.T) {
+	net := faultinject.NewNetwork(1)
 	c := testCluster(t, Config{
 		Servers:           3,
 		ReplicationFactor: 2,
 		Fabric:            transport.FabricConfig{BandwidthBytesPerSec: 4 << 20},
 		RPCTimeout:        200 * time.Millisecond,
+		Faults:            net,
 	})
 	cl := c.MustClient()
 	table, err := cl.CreateTable(context.Background(), "t", c.Server(0).ID())
@@ -779,22 +782,32 @@ func TestPartitionDuringMigrationThenRecovery(t *testing.T) {
 	}
 	keys, values := loadN(t, c, table, 2000)
 
+	// Sever source<->target for Pulls before the migration starts, so not
+	// one Pull reaches the source: Pulls (and their retries) black-hole,
+	// and the migration must fail cleanly rather than hang (the 200 ms
+	// RPCTimeout bounds each attempt). Cutting the link after Migrate
+	// returns would race the pulls, which can finish first.
+	src, dst := c.Server(0).ID(), c.Server(1).ID()
+	partition := func(on bool) {
+		net.BlockOp(src, dst, wire.OpPull, on)
+		net.BlockOp(dst, src, wire.OpPull, on)
+	}
+	partition(true)
 	half := wire.FullRange().Split(2)[1]
 	g, err := c.Migrate(context.Background(), table, half, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sever source<->target: Pulls (and their retries) black-hole, so the
-	// migration must fail cleanly rather than hang (the 200 ms RPCTimeout
-	// bounds each attempt).
-	c.Fabric.Partition(c.Server(0).ID(), c.Server(1).ID(), true)
 	res := g.Wait()
 	if res.Err == nil {
 		t.Fatal("migration succeeded across a partition")
 	}
+	if net.Stats().Blocked.Load() == 0 {
+		t.Fatal("no Pull reached the partition")
+	}
 	// The operator declares the isolated target dead; recovery reverts the
 	// tablet to the source side and service resumes for every key.
-	c.Fabric.Partition(c.Server(0).ID(), c.Server(1).ID(), false)
+	partition(false)
 	c.Crash(1)
 	if err := cl.ReportCrash(context.Background(), c.Server(1).ID()); err != nil {
 		t.Fatal(err)

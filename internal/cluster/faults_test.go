@@ -27,18 +27,19 @@ import (
 )
 
 // faultPlan is the standard message-fault mix scenarios arm: mild drops,
-// frequent small delays, duplicated responses, adjacent reorders.
-// Replication and recovery-fetch ops are exempt so an injected fault is
-// never mistakable for genuine data loss — those paths have their own
-// retry hardening, but exempting them keeps each scenario's assertion
-// about exactly one failure mode.
+// frequent small delays, duplicated responses, adjacent reorders. Every
+// replication batch — group commit and side-log re-replication alike —
+// is faulted; the replicator's retry and failover must mask it. Only
+// recovery fetches are exempt, so an injected fault is never mistakable
+// for genuine data loss and each scenario asserts about exactly one
+// failure mode.
 func faultPlan() *faultinject.Plan {
 	return &faultinject.Plan{
 		DropProb:    0.01,
 		DelayProb:   0.10,
 		DupProb:     0.02,
 		ReorderProb: 0.02,
-		ExemptOps:   []wire.Op{wire.OpReplicateSegment, wire.OpGetBackupSegments},
+		ExemptOps:   []wire.Op{wire.OpGetBackupSegments},
 	}
 }
 

@@ -439,7 +439,7 @@ func (g *Migration) replayRecords(records []wire.Record) {
 			if useSideLogs {
 				tref, err = sl.AppendTombstone(rec.Table, rec.Version, rec.Key)
 			} else {
-				tref, err = srv.Log().AppendTombstone(rec.Table, rec.Version, 0, rec.Key)
+				tref, err = srv.Log().Append(0, storage.EntryTombstone, rec.Table, rec.Version, 0, rec.Key, nil)
 			}
 			if err != nil {
 				g.fail(err)
@@ -461,7 +461,7 @@ func (g *Migration) replayRecords(records []wire.Record) {
 			// Main-log replay: synchronous re-replication variants need
 			// the records on the replicated log; the side-log ablation
 			// shows the head contention this causes.
-			ref, err = srv.Log().AppendObjectVersion(rec.Table, rec.Version, rec.Key, rec.Value)
+			ref, err = srv.Log().Append(0, storage.EntryObject, rec.Table, rec.Version, 0, rec.Key, rec.Value)
 		}
 		if err != nil {
 			g.fail(err)

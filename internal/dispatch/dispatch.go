@@ -173,22 +173,17 @@ func (s *Scheduler) Workers() int { return s.workers }
 // identity. It never blocks; if all workers are busy the task waits in
 // its priority queue.
 func (s *Scheduler) Enqueue(p wire.Priority, t Task) {
-	s.EnqueueMeta(p, TaskMeta{}, t)
-}
-
-// EnqueueMeta submits a task with scheduling metadata. A task whose
-// deadline has already passed when a worker would pick it up is shed:
-// it never runs, the per-priority shed counter increments, and a shed
-// span is recorded. It never blocks.
-func (s *Scheduler) EnqueueMeta(p wire.Priority, meta TaskMeta, t Task) {
 	if p >= wire.NumPriorities {
 		p = wire.PriorityBackground
 	}
-	s.enqueue(p, queuedTask{fn: t, meta: meta, enqueuedAt: time.Now()})
+	s.enqueue(p, queuedTask{fn: t, enqueuedAt: time.Now()})
 }
 
-// EnqueueMetaWorker is EnqueueMeta for worker-indexed tasks: t runs with
-// the index of the worker executing it.
+// EnqueueMetaWorker submits a worker-indexed task with scheduling
+// metadata: t runs with the index of the worker executing it. A task
+// whose deadline has already passed when a worker would pick it up is
+// shed: it never runs, the per-priority shed counter increments, and a
+// shed span is recorded. It never blocks.
 func (s *Scheduler) EnqueueMetaWorker(p wire.Priority, meta TaskMeta, t TaskW) {
 	if p >= wire.NumPriorities {
 		p = wire.PriorityBackground

@@ -308,11 +308,11 @@ func TestDeadlineExpiredTaskShed(t *testing.T) {
 	// matter how quickly the worker frees up.
 	expired := time.Now().Add(-time.Millisecond).UnixNano()
 	ran := make(chan struct{})
-	s.EnqueueMeta(wire.PriorityForeground, TaskMeta{DeadlineNanos: expired, TraceID: 7, Op: 42}, func() {
+	s.EnqueueMetaWorker(wire.PriorityForeground, TaskMeta{DeadlineNanos: expired, TraceID: 7, Op: 42}, func(int) {
 		close(ran)
 	})
 	live := make(chan struct{})
-	s.EnqueueMeta(wire.PriorityForeground, TaskMeta{TraceID: 8}, func() {
+	s.EnqueueMetaWorker(wire.PriorityForeground, TaskMeta{TraceID: 8}, func(int) {
 		close(live)
 	})
 
@@ -351,7 +351,7 @@ func TestNoDeadlineNeverShed(t *testing.T) {
 	s := NewScheduler(1)
 	defer s.Close()
 	done := make(chan struct{})
-	s.EnqueueMeta(wire.PriorityBackground, TaskMeta{}, func() { close(done) })
+	s.EnqueueMetaWorker(wire.PriorityBackground, TaskMeta{}, func(int) { close(done) })
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):

@@ -49,8 +49,9 @@ type Plan struct {
 	ReorderProb float64
 	HoldFlush   time.Duration
 	// ExemptOps lists operations never faulted (requests and responses).
-	// Scenarios exempt e.g. OpReplicateSegment when the assertion under
-	// test is lineage recovery, not replication failover.
+	// Scenarios exempt e.g. OpGetBackupSegments when the assertion under
+	// test is the migration or its lineage recovery, not the recovery
+	// fetch path itself.
 	ExemptOps []wire.Op
 }
 
@@ -88,6 +89,12 @@ type Stats struct {
 
 type link struct{ from, to wire.ServerID }
 
+// block keys a one-way partition: a link, for one op or (OpInvalid) all.
+type block struct {
+	link
+	op wire.Op
+}
+
 // trigger fires fn once when the network-wide message count reaches at.
 type trigger struct {
 	at    uint64
@@ -104,7 +111,7 @@ type Network struct {
 	exempt  map[wire.Op]bool
 	seqs    map[link]uint64
 	held    map[link]*wire.Message // reorder slots
-	blocked map[link]bool          // one-way partitions
+	blocked map[block]bool         // one-way partitions
 	trigs   []*trigger
 	total   uint64 // messages offered to wrapped endpoints
 
@@ -117,7 +124,7 @@ func NewNetwork(seed uint64) *Network {
 		seed:    seed,
 		seqs:    make(map[link]uint64),
 		held:    make(map[link]*wire.Message),
-		blocked: make(map[link]bool),
+		blocked: make(map[block]bool),
 		stats: Stats{
 			Sent:       metrics.NewCounter("faults.sent"),
 			Dropped:    metrics.NewCounter("faults.dropped"),
@@ -160,11 +167,18 @@ func (n *Network) ClearPlan() { n.SetPlan(nil) }
 // Block installs (or removes) a one-way partition: messages from -> to
 // are silently discarded. Bidirectional partitions are two Block calls.
 func (n *Network) Block(from, to wire.ServerID, blocked bool) {
+	n.BlockOp(from, to, wire.OpInvalid, blocked)
+}
+
+// BlockOp is Block for one operation: only op's requests and responses
+// from -> to are discarded (wire.OpInvalid blocks every op). A test uses
+// it to cut one path — say, Pulls — before its first message is sent.
+func (n *Network) BlockOp(from, to wire.ServerID, op wire.Op, blocked bool) {
 	n.mu.Lock()
 	if blocked {
-		n.blocked[link{from, to}] = true
+		n.blocked[block{link{from, to}, op}] = true
 	} else {
-		delete(n.blocked, link{from, to})
+		delete(n.blocked, block{link{from, to}, op})
 	}
 	n.mu.Unlock()
 }
@@ -242,7 +256,7 @@ func (n *Network) decide(m *wire.Message) verdict {
 		}
 	}
 	l := link{m.From, m.To}
-	if n.blocked[l] {
+	if n.blocked[block{l, wire.OpInvalid}] || n.blocked[block{l, m.Op}] {
 		n.mu.Unlock()
 		for _, fn := range fire {
 			go fn()

@@ -158,6 +158,23 @@ func TestDropAndOneWayBlock(t *testing.T) {
 	}
 }
 
+func TestBlockOpCutsOnlyThatOp(t *testing.T) {
+	net := NewNetwork(1)
+	stub := newStub(3)
+	ep := net.Wrap(stub)
+	net.BlockOp(3, 7, wire.OpPull, true)
+	_ = ep.Send(&wire.Message{ID: 1, To: 7, Op: wire.OpPull, Body: &wire.PullRequest{}})
+	_ = ep.Send(ping(2, 7, false))
+	if ids := stub.sentIDs(); len(ids) != 1 || ids[0] != 2 {
+		t.Fatalf("op block delivered %v, want only the ping", ids)
+	}
+	net.BlockOp(3, 7, wire.OpPull, false)
+	_ = ep.Send(&wire.Message{ID: 3, To: 7, Op: wire.OpPull, Body: &wire.PullRequest{}})
+	if got := len(stub.sentIDs()); got != 2 {
+		t.Fatalf("unblock did not restore Pull delivery: %d", got)
+	}
+}
+
 func TestDuplicationOnlyOnResponsesAndDeepCopies(t *testing.T) {
 	net := NewNetwork(1)
 	stub := newStub(3)

@@ -14,7 +14,7 @@ import (
 // bytes as a backup would hold them.
 func buildSegments(t testing.TB, write func(l *storage.Log)) []wire.BackupSegment {
 	t.Helper()
-	l := storage.NewLog(1024, nil)
+	l := storage.NewShardedLog(1024, 1, nil)
 	write(l)
 	var segs []wire.BackupSegment
 	for _, s := range l.Segments() {
@@ -51,7 +51,7 @@ func TestReplayerTombstoneFolding(t *testing.T) {
 	segs := buildSegments(t, func(l *storage.Log) {
 		ref, v, _ := l.AppendObject(1, []byte("dead"), []byte("x"))
 		_, _, _ = l.AppendObject(1, []byte("alive"), []byte("y"))
-		_, _ = l.AppendTombstone(1, v+10, ref.Seg.ID, []byte("dead"))
+		_, _ = l.Append(0, storage.EntryTombstone, 1, v+10, ref.Seg.ID, []byte("dead"), nil)
 	})
 	r := NewReplayer(nil)
 	r.AddBackupSegments(segs)
@@ -64,8 +64,8 @@ func TestReplayerTombstoneFolding(t *testing.T) {
 func TestReplayerDeleteThenRewrite(t *testing.T) {
 	segs := buildSegments(t, func(l *storage.Log) {
 		ref, v, _ := l.AppendObject(1, []byte("k"), []byte("v1"))
-		_, _ = l.AppendTombstone(1, v+1, ref.Seg.ID, []byte("k"))
-		_, _ = l.AppendObjectVersion(1, v+2, []byte("k"), []byte("v2"))
+		_, _ = l.Append(0, storage.EntryTombstone, 1, v+1, ref.Seg.ID, []byte("k"), nil)
+		_, _ = l.Append(0, storage.EntryObject, 1, v+2, 0, []byte("k"), []byte("v2"))
 	})
 	r := NewReplayer(nil)
 	r.AddBackupSegments(segs)
@@ -154,13 +154,13 @@ func TestReplayerTornTail(t *testing.T) {
 func TestReplayerMultiLogMerge(t *testing.T) {
 	// Source log: original records up to version ceiling.
 	srcSegs := buildSegments(t, func(l *storage.Log) {
-		_, _ = l.AppendObjectVersion(1, 10, []byte("hot"), []byte("old"))
-		_, _ = l.AppendObjectVersion(1, 11, []byte("cold"), []byte("unchanged"))
+		_, _ = l.Append(0, storage.EntryObject, 1, 10, 0, []byte("hot"), []byte("old"))
+		_, _ = l.Append(0, storage.EntryObject, 1, 11, 0, []byte("cold"), []byte("unchanged"))
 	})
 	// Target log tail: a write the target accepted during migration, with
 	// a version above the ceiling (§3.4's lineage dependency).
 	tgtSegs := buildSegments(t, func(l *storage.Log) {
-		_, _ = l.AppendObjectVersion(1, 100, []byte("hot"), []byte("new"))
+		_, _ = l.Append(0, storage.EntryObject, 1, 100, 0, []byte("hot"), []byte("new"))
 	})
 	r := NewReplayer(nil)
 	r.AddBackupSegments(srcSegs)
@@ -189,7 +189,7 @@ func TestReplayerMultiLogMerge(t *testing.T) {
 // hold only the acked prefix, and recovery must reconstruct exactly the
 // pre-crash acknowledged state — the unacked suffix never happened.
 func TestReplayerCrashBeforeAck(t *testing.T) {
-	l := storage.NewLog(1024, nil)
+	l := storage.NewShardedLog(1024, 1, nil)
 	if _, _, err := l.AppendObject(1, []byte("k"), []byte("acked")); err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +220,16 @@ func TestReplayerCrashBeforeAck(t *testing.T) {
 // union — newest version per key, nothing lost, nothing duplicated.
 func TestReplayerCrashAfterPartialPull(t *testing.T) {
 	srcSegs := buildSegments(t, func(l *storage.Log) {
-		_, _ = l.AppendObjectVersion(1, 1, []byte("a"), []byte("a-old"))
-		_, _ = l.AppendObjectVersion(1, 2, []byte("b"), []byte("b-src"))
-		_, _ = l.AppendObjectVersion(1, 3, []byte("c"), []byte("c-unpulled"))
+		_, _ = l.Append(0, storage.EntryObject, 1, 1, 0, []byte("a"), []byte("a-old"))
+		_, _ = l.Append(0, storage.EntryObject, 1, 2, 0, []byte("b"), []byte("b-src"))
+		_, _ = l.Append(0, storage.EntryObject, 1, 3, 0, []byte("c"), []byte("c-unpulled"))
 	})
 	// Target side log: pulled copies of a and b retain source versions; the
 	// post-transfer write to a gets a version above the ceiling (3).
 	tgtSegs := buildSegments(t, func(l *storage.Log) {
-		_, _ = l.AppendObjectVersion(1, 1, []byte("a"), []byte("a-old"))
-		_, _ = l.AppendObjectVersion(1, 2, []byte("b"), []byte("b-src"))
-		_, _ = l.AppendObjectVersion(1, 50, []byte("a"), []byte("a-target-write"))
+		_, _ = l.Append(0, storage.EntryObject, 1, 1, 0, []byte("a"), []byte("a-old"))
+		_, _ = l.Append(0, storage.EntryObject, 1, 2, 0, []byte("b"), []byte("b-src"))
+		_, _ = l.Append(0, storage.EntryObject, 1, 50, 0, []byte("a"), []byte("a-target-write"))
 	})
 	for i := range tgtSegs {
 		tgtSegs[i].LogID = 7 // a side log, not the main log
@@ -263,9 +263,9 @@ func TestReplayerCrashAfterPartialPull(t *testing.T) {
 func TestReplayerDoubleRecoveryIdempotent(t *testing.T) {
 	segs := buildSegments(t, func(l *storage.Log) {
 		ref, _, _ := l.AppendObject(1, []byte("del"), []byte("x"))
-		_, _ = l.AppendTombstone(1, 100, ref.Seg.ID, []byte("del"))
+		_, _ = l.Append(0, storage.EntryTombstone, 1, 100, ref.Seg.ID, []byte("del"), nil)
 		for i := 0; i < 20; i++ {
-			_, _ = l.AppendObjectVersion(1, uint64(200+i), []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%d", i)))
+			_, _ = l.Append(0, storage.EntryObject, 1, uint64(200+i), 0, []byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%d", i)))
 		}
 	})
 	once := NewReplayer(nil)
@@ -298,10 +298,10 @@ func TestReplayerDoubleRecoveryIdempotent(t *testing.T) {
 func TestReplayerLiveWithTombstones(t *testing.T) {
 	segs := buildSegments(t, func(l *storage.Log) {
 		ref, v, _ := l.AppendObject(1, []byte("gone"), []byte("x"))
-		_, _ = l.AppendTombstone(1, v+10, ref.Seg.ID, []byte("gone"))
+		_, _ = l.Append(0, storage.EntryTombstone, 1, v+10, ref.Seg.ID, []byte("gone"), nil)
 		ref2, v2, _ := l.AppendObject(1, []byte("back"), []byte("y"))
-		_, _ = l.AppendTombstone(1, v2+1, ref2.Seg.ID, []byte("back"))
-		_, _ = l.AppendObjectVersion(1, v2+2, []byte("back"), []byte("rewritten"))
+		_, _ = l.Append(0, storage.EntryTombstone, 1, v2+1, ref2.Seg.ID, []byte("back"), nil)
+		_, _ = l.Append(0, storage.EntryObject, 1, v2+2, 0, []byte("back"), []byte("rewritten"))
 	})
 	r := NewReplayer(nil)
 	r.AddBackupSegments(segs)
@@ -358,10 +358,10 @@ func TestReplayerOrderIndependenceQuick(t *testing.T) {
 }
 
 func buildSegmentsQuick() []wire.BackupSegment {
-	l := storage.NewLog(128, nil) // tiny segments: one entry each
-	_, _ = l.AppendObjectVersion(1, 3, []byte("k"), []byte("a"))
-	_, _ = l.AppendObjectVersion(1, 9, []byte("k"), []byte("final"))
-	_, _ = l.AppendObjectVersion(1, 5, []byte("k"), []byte("b"))
+	l := storage.NewShardedLog(128, 1, nil) // tiny segments: one entry each
+	_, _ = l.Append(0, storage.EntryObject, 1, 3, 0, []byte("k"), []byte("a"))
+	_, _ = l.Append(0, storage.EntryObject, 1, 9, 0, []byte("k"), []byte("final"))
+	_, _ = l.Append(0, storage.EntryObject, 1, 5, 0, []byte("k"), []byte("b"))
 	var segs []wire.BackupSegment
 	for _, s := range l.Segments() {
 		segs = append(segs, wire.BackupSegment{SegmentID: s.ID, Data: s.Data(0, s.Len())})

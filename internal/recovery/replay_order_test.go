@@ -68,7 +68,7 @@ func TestReplayOrderIndependentAcrossShards(t *testing.T) {
 		for k := 0; k < 8; k++ {
 			key := []byte(fmt.Sprintf("key-%02d", k))
 			value := []byte(fmt.Sprintf("round-%d", round))
-			if _, _, err := l.AppendObjectW(round, 1, key, value); err != nil {
+			if _, err := l.Append(round, storage.EntryObject, 1, l.NextVersion(), 0, key, value); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -76,7 +76,7 @@ func TestReplayOrderIndependentAcrossShards(t *testing.T) {
 	// A deletion on yet another shard: the tombstone must hold against the
 	// older object copies regardless of feed order.
 	delVersion := l.NextVersion()
-	if _, err := l.AppendTombstoneW(1, 1, delVersion, 0, []byte("key-00")); err != nil {
+	if _, err := l.Append(1, storage.EntryTombstone, 1, delVersion, 0, []byte("key-00"), nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,10 +126,10 @@ func TestReplayVersionTieBrokenByEpoch(t *testing.T) {
 	// Original copy on shard 0, relocated copy (same version, later epoch,
 	// same payload in real life — different here to make the winner
 	// observable) on shard 1.
-	if _, err := l.AppendObjectVersionW(0, 1, v, []byte("k"), []byte("original")); err != nil {
+	if _, err := l.Append(0, storage.EntryObject, 1, v, 0, []byte("k"), []byte("original")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.AppendObjectVersionW(1, 1, v, []byte("k"), []byte("relocated")); err != nil {
+	if _, err := l.Append(1, storage.EntryObject, 1, v, 0, []byte("k"), []byte("relocated")); err != nil {
 		t.Fatal(err)
 	}
 

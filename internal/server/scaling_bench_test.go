@@ -94,7 +94,7 @@ func (r *scaleRig) startMigrationLoad() func() {
 			key := r.keys[rng.Intn(len(r.keys))]
 			hash := wire.HashKey(key)
 			v := r.srv.log.NextVersion()
-			ref, err := r.srv.log.AppendObjectVersion(1, v, key, value)
+			ref, err := r.srv.log.Append(0, storage.EntryObject, 1, v, 0, key, value)
 			if err != nil {
 				return
 			}

@@ -351,7 +351,7 @@ func (s *Server) dispatchRequest(m *wire.Message) {
 		pri = wire.PriorityBackground
 	case wire.OpPriorityPull:
 		pri = wire.PriorityPriorityPull
-	case wire.OpReplicateSegment, wire.OpReplicateBatch:
+	case wire.OpReplicateBatch:
 		if pri > wire.PriorityReplication {
 			pri = wire.PriorityReplication
 		}
@@ -424,8 +424,6 @@ func (s *Server) handle(ctx context.Context, m *wire.Message, st *statShard) {
 			status = h.HandleMigrateTablet(transport.EnsureTraceID(ctx, m.TraceID), req.Table, req.Range, req.Source)
 		}
 		s.node.Reply(m, &wire.MigrateTabletResponse{Status: status})
-	case *wire.ReplicateSegmentRequest:
-		s.node.Reply(m, &wire.ReplicateSegmentResponse{Status: s.store.HandleReplicate(req)})
 	case *wire.ReplicateBatchRequest:
 		s.node.Reply(m, s.store.HandleReplicateBatch(req))
 	case *wire.GetBackupSegmentsRequest:
@@ -498,18 +496,16 @@ func (s *Server) readOne(tm *tabletMap, st *statShard, table wire.TableID, key [
 	}
 	if state == TabletMigratingIn {
 		if h := s.migrationHandler(); h != nil {
-			retry, missing := h.HandleMissingKey(table, hash)
-			if !missing {
-				if retry == 0 {
-					// Synchronous PriorityPull mode: the record arrived
-					// while this worker was stalled; answer directly.
-					if ref, ok := s.ht.Get(table, key, hash); ok {
-						return s.respondFromRef(st, ref)
-					}
-					return &wire.ReadResponse{Status: wire.StatusNoSuchKey}
-				}
+			if retry, missing := h.HandleMissingKey(table, hash); !missing && retry != 0 {
 				st.retries.Add(1)
 				return &wire.ReadResponse{Status: wire.StatusRetry, RetryAfterMicros: retry}
+			}
+			// The record may have arrived while this worker looked: a
+			// synchronous PriorityPull replayed it, or the migration
+			// replayed it and completed after the first lookup (so no
+			// migration covers the key any more). Look again.
+			if ref, ok := s.ht.Get(table, key, hash); ok {
+				return s.respondFromRef(st, ref)
 			}
 		}
 	}
@@ -540,7 +536,8 @@ func (s *Server) handleWrite(ctx context.Context, st *statShard, req *wire.Write
 // writers on different workers never contend on one head lock.
 func (s *Server) applyWrite(st *statShard, table wire.TableID, key []byte, hash uint64, value []byte) (uint64, wire.Status) {
 	s.heat.Record(st.wk, table, hash)
-	ref, version, err := s.log.AppendObjectW(st.wk, table, key, value)
+	version := s.log.NextVersion()
+	ref, err := s.log.Append(st.wk, storage.EntryObject, table, version, 0, key, value)
 	if err != nil {
 		return 0, wire.StatusInternalError
 	}
@@ -565,7 +562,7 @@ func (s *Server) handleDelete(ctx context.Context, st *statShard, req *wire.Dele
 		return &wire.DeleteResponse{Status: wire.StatusNoSuchKey}
 	}
 	version := s.log.NextVersion()
-	if _, err := s.log.AppendTombstoneW(st.wk, req.Table, version, prev.Seg.ID, req.Key); err != nil {
+	if _, err := s.log.Append(st.wk, storage.EntryTombstone, req.Table, version, prev.Seg.ID, req.Key, nil); err != nil {
 		return &wire.DeleteResponse{Status: wire.StatusInternalError}
 	}
 	s.log.MarkDead(prev)
@@ -593,7 +590,11 @@ func (s *Server) deleteDuringMigration(ctx context.Context, st *statShard, req *
 		// answered correctly.
 		if h := s.migrationHandler(); h != nil {
 			if _, missing := h.HandleMissingKey(req.Table, hash); missing {
-				return &wire.DeleteResponse{Status: wire.StatusNoSuchKey}
+				// Unless the migration replayed the key and completed
+				// meanwhile (see readOne): then the client must retry.
+				if _, arrived := s.ht.Get(req.Table, req.Key, hash); !arrived {
+					return &wire.DeleteResponse{Status: wire.StatusNoSuchKey}
+				}
 			}
 			st.retries.Add(1)
 			return &wire.DeleteResponse{Status: wire.StatusRetry}
@@ -601,7 +602,7 @@ func (s *Server) deleteDuringMigration(ctx context.Context, st *statShard, req *
 		return &wire.DeleteResponse{Status: wire.StatusNoSuchKey}
 	}
 	version := s.log.NextVersion()
-	ref, err := s.log.AppendTombstoneW(st.wk, req.Table, version, prev.Seg.ID, req.Key)
+	ref, err := s.log.Append(st.wk, storage.EntryTombstone, req.Table, version, prev.Seg.ID, req.Key, nil)
 	if err != nil {
 		return &wire.DeleteResponse{Status: wire.StatusInternalError}
 	}
@@ -694,6 +695,7 @@ func (s *Server) handleMultiGetByHash(st *statShard, req *wire.MultiGetByHashReq
 					}
 					continue
 				}
+				refs = s.ht.GetByHash(req.Table, hash) // see readOne
 			}
 		}
 		for _, ref := range refs {
@@ -813,7 +815,7 @@ func (s *Server) handleTakeTablets(ctx context.Context, st *statShard, req *wire
 			// A recovered deletion: park the tombstone so an older copy this
 			// server may still hold (a migration source re-assuming the
 			// tablet after its target died) loses the version race.
-			tref, err := s.log.AppendTombstoneW(st.wk, rec.Table, rec.Version, 0, rec.Key)
+			tref, err := s.log.Append(st.wk, storage.EntryTombstone, rec.Table, rec.Version, 0, rec.Key, nil)
 			if err != nil {
 				return &wire.TakeTabletsResponse{Status: wire.StatusInternalError}
 			}
@@ -828,7 +830,7 @@ func (s *Server) handleTakeTablets(ctx context.Context, st *statShard, req *wire
 			}
 			continue
 		}
-		ref, err := s.log.AppendObjectVersionW(st.wk, rec.Table, rec.Version, rec.Key, rec.Value)
+		ref, err := s.log.Append(st.wk, storage.EntryObject, rec.Table, rec.Version, 0, rec.Key, rec.Value)
 		if err != nil {
 			return &wire.TakeTabletsResponse{Status: wire.StatusInternalError}
 		}
@@ -877,7 +879,7 @@ func (s *Server) handleReplayRecords(ctx context.Context, st *statShard, req *wi
 		if rec.Tombstone {
 			continue
 		}
-		ref, err := s.log.AppendObjectVersionW(st.wk, rec.Table, rec.Version, rec.Key, rec.Value)
+		ref, err := s.log.Append(st.wk, storage.EntryObject, rec.Table, rec.Version, 0, rec.Key, rec.Value)
 		if err != nil {
 			return &wire.ReplayRecordsResponse{Status: wire.StatusInternalError}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rocksteady/internal/storage"
 	"rocksteady/internal/transport"
 	"rocksteady/internal/wire"
 )
@@ -437,5 +438,53 @@ func TestServerCleanerReclaimsOverwrites(t *testing.T) {
 		if rd.Status != wire.StatusOK || len(rd.Value) != 64 || rd.Value[0] != 5 {
 			t.Fatalf("key k%03d after cleaning: %+v", i, rd)
 		}
+	}
+}
+
+// lateArrival is a migration handler whose migration finishes while a miss
+// is being handled: it replays the missing record and, the migration now
+// complete, reports that no migration covers the key.
+type lateArrival struct {
+	srv *Server
+	rec wire.Record
+}
+
+func (h *lateArrival) HandleMigrateTablet(context.Context, wire.TableID, wire.HashRange, wire.ServerID) wire.Status {
+	return wire.StatusOK
+}
+
+func (h *lateArrival) HandleMissingKey(table wire.TableID, hash uint64) (uint32, bool) {
+	if _, ok := h.srv.ht.Get(table, h.rec.Key, hash); !ok {
+		ref, err := h.srv.log.Append(0, storage.EntryObject, table, h.rec.Version, 0, h.rec.Key, h.rec.Value)
+		if err != nil {
+			panic(err)
+		}
+		h.srv.ht.Put(table, h.rec.Key, hash, ref)
+	}
+	return 0, true
+}
+
+func (h *lateArrival) CancelIncoming(wire.TableID, wire.HashRange) {}
+
+// TestServerMissRacingMigrationCompletion: a client op that misses in a
+// migrating-in tablet while the migration replays the key and completes
+// must not answer that the key is absent.
+func TestServerMissRacingMigrationCompletion(t *testing.T) {
+	rec := wire.Record{Table: 1, Version: 7, Key: []byte("k"), Value: []byte("v")}
+	setup := func() *rig {
+		r := newRig(t, Config{})
+		r.srv.RegisterTablet(1, wire.FullRange(), TabletMigratingIn)
+		r.srv.SetMigrationHandler(&lateArrival{srv: r.srv, rec: rec})
+		return r
+	}
+	if rd := setup().call(t, &wire.ReadRequest{Table: 1, Key: rec.Key}).(*wire.ReadResponse); rd.Status != wire.StatusOK || string(rd.Value) != "v" {
+		t.Errorf("read: %v %q, want the replayed record", rd.Status, rd.Value)
+	}
+	mg := setup().call(t, &wire.MultiGetByHashRequest{Table: 1, Hashes: []uint64{wire.HashKey(rec.Key)}}).(*wire.MultiGetByHashResponse)
+	if mg.Status != wire.StatusOK || len(mg.Records) != 1 {
+		t.Errorf("multiget by hash: %v with %d records, want the replayed record", mg.Status, len(mg.Records))
+	}
+	if d := setup().call(t, &wire.DeleteRequest{Table: 1, Key: rec.Key}).(*wire.DeleteResponse); d.Status != wire.StatusRetry {
+		t.Errorf("delete: %v, want Retry", d.Status)
 	}
 }

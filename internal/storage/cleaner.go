@@ -96,7 +96,7 @@ func (c *Cleaner) relocateObject(ref Ref, h EntryHeader, relocated *int) {
 	if !c.ht.RefersTo(h.Table, key, hash, ref) {
 		return // dead: overwritten, deleted, or migrated away
 	}
-	newRef, err := c.log.Append(EntryObject, h.Table, h.Version, 0, key, value)
+	newRef, err := c.log.Append(0, EntryObject, h.Table, h.Version, 0, key, value)
 	if err != nil {
 		return
 	}
@@ -120,7 +120,7 @@ func (c *Cleaner) relocateTombstone(ref Ref, h EntryHeader, relocated *int) {
 	if err != nil {
 		return
 	}
-	newRef, err := c.log.AppendTombstone(h.Table, h.Version, h.Aux, key)
+	newRef, err := c.log.Append(0, EntryTombstone, h.Table, h.Version, h.Aux, key, nil)
 	if err != nil {
 		return
 	}

@@ -11,7 +11,7 @@ import (
 // marking the stale versions dead the way a master does.
 func buildDirtyLog(t testing.TB, segSize, n int, overwriteEvery int) (*Log, *HashTable) {
 	t.Helper()
-	l := NewLog(segSize, nil)
+	l := NewShardedLog(segSize, 1, nil)
 	ht := NewHashTable(n * 2)
 	put := func(k string) {
 		key := []byte(k)
@@ -73,7 +73,7 @@ func TestCleanerSkipsMostlyLiveSegments(t *testing.T) {
 }
 
 func TestCleanerPreservesLiveTombstones(t *testing.T) {
-	l := NewLog(1024, nil)
+	l := NewShardedLog(1024, 1, nil)
 	ht := NewHashTable(256)
 	// Write an object, then delete it: the tombstone must survive cleaning
 	// while the object's segment exists.
@@ -85,7 +85,7 @@ func TestCleanerPreservesLiveTombstones(t *testing.T) {
 	}
 	ht.Put(1, key, h, ref)
 	objSeg := ref.Seg.ID
-	if _, err := l.AppendTombstone(1, v+1, objSeg, key); err != nil {
+	if _, err := l.Append(0, EntryTombstone, 1, v+1, objSeg, key, nil); err != nil {
 		t.Fatal(err)
 	}
 	if prev, ok := ht.Remove(1, key, h); ok {
@@ -118,10 +118,10 @@ func TestCleanerPreservesLiveTombstones(t *testing.T) {
 }
 
 func TestCleanerDropsExpiredTombstones(t *testing.T) {
-	l := NewLog(512, nil)
+	l := NewShardedLog(512, 1, nil)
 	ht := NewHashTable(64)
 	// Tombstone referencing a segment that is already gone (Aux=999).
-	if _, err := l.AppendTombstone(1, 5, 999, []byte("old")); err != nil {
+	if _, err := l.Append(0, EntryTombstone, 1, 5, 999, []byte("old"), nil); err != nil {
 		t.Fatal(err)
 	}
 	l.Seal()

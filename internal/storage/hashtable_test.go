@@ -19,7 +19,7 @@ func mustAppend(t testing.TB, l *Log, table wire.TableID, key, value string) (Re
 }
 
 func TestHashTableBasicOps(t *testing.T) {
-	l := NewLog(1<<16, nil)
+	l := NewShardedLog(1<<16, 1, nil)
 	ht := NewHashTable(1024)
 	ref, _ := mustAppend(t, l, 1, "alpha", "one")
 	h := wire.HashKey([]byte("alpha"))
@@ -65,20 +65,20 @@ func TestHashTableBasicOps(t *testing.T) {
 }
 
 func TestHashTablePutIfNewer(t *testing.T) {
-	l := NewLog(1<<16, nil)
+	l := NewShardedLog(1<<16, 1, nil)
 	ht := NewHashTable(64)
 	key := []byte("k")
 	h := wire.HashKey(key)
 
-	r5, err := l.AppendObjectVersion(1, 5, key, []byte("v5"))
+	r5, err := l.Append(0, EntryObject, 1, 5, 0, key, []byte("v5"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r9, err := l.AppendObjectVersion(1, 9, key, []byte("v9"))
+	r9, err := l.Append(0, EntryObject, 1, 9, 0, key, []byte("v9"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r7, err := l.AppendObjectVersion(1, 7, key, []byte("v7"))
+	r7, err := l.Append(0, EntryObject, 1, 7, 0, key, []byte("v7"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestHashTablePutIfNewer(t *testing.T) {
 // map[string]Ref under a random stream of Put/Remove/Get.
 func TestHashTableVersusModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	l := NewLog(1<<20, nil)
+	l := NewShardedLog(1<<20, 1, nil)
 	ht := NewHashTable(256) // deliberately small: exercises overflow chains
 	model := map[string]Ref{}
 	keys := make([]string, 200)
@@ -161,7 +161,7 @@ func fillTable(t testing.TB, l *Log, ht *HashTable, table wire.TableID, n int) m
 // entry exactly once, regardless of how often scans are suspended and
 // resumed — the invariant Pull correctness rests on.
 func TestScanRangePartitionsCoverExactlyOnce(t *testing.T) {
-	l := NewLog(1<<20, nil)
+	l := NewShardedLog(1<<20, 1, nil)
 	ht := NewHashTable(512)
 	hashes := fillTable(t, l, ht, 1, 3000)
 
@@ -202,7 +202,7 @@ func TestScanRangePartitionsCoverExactlyOnce(t *testing.T) {
 }
 
 func TestScanRangeFiltersTableAndRange(t *testing.T) {
-	l := NewLog(1<<20, nil)
+	l := NewShardedLog(1<<20, 1, nil)
 	ht := NewHashTable(256)
 	fillTable(t, l, ht, 1, 500)
 	fillTable(t, l, ht, 2, 500)
@@ -226,7 +226,7 @@ func TestScanRangeFiltersTableAndRange(t *testing.T) {
 }
 
 func TestGetByHash(t *testing.T) {
-	l := NewLog(1<<16, nil)
+	l := NewShardedLog(1<<16, 1, nil)
 	ht := NewHashTable(64)
 	hashes := fillTable(t, l, ht, 1, 100)
 	for k, h := range hashes {
@@ -251,7 +251,7 @@ func TestGetByHash(t *testing.T) {
 }
 
 func TestRemoveRange(t *testing.T) {
-	l := NewLog(1<<20, nil)
+	l := NewShardedLog(1<<20, 1, nil)
 	ht := NewHashTable(256)
 	hashes := fillTable(t, l, ht, 1, 1000)
 	half := wire.FullRange().Split(2)[1]
@@ -284,7 +284,7 @@ func TestRemoveRange(t *testing.T) {
 }
 
 func TestCountRange(t *testing.T) {
-	l := NewLog(1<<20, nil)
+	l := NewShardedLog(1<<20, 1, nil)
 	ht := NewHashTable(256)
 	fillTable(t, l, ht, 1, 800)
 	n, b := ht.CountRange(1, wire.FullRange())
@@ -299,7 +299,7 @@ func TestCountRange(t *testing.T) {
 }
 
 func TestReplaceRefAndRefersTo(t *testing.T) {
-	l := NewLog(1<<16, nil)
+	l := NewShardedLog(1<<16, 1, nil)
 	ht := NewHashTable(64)
 	key := []byte("cleanme")
 	h := wire.HashKey(key)
@@ -322,7 +322,7 @@ func TestReplaceRefAndRefersTo(t *testing.T) {
 }
 
 func TestHashTableConcurrentDisjointRegions(t *testing.T) {
-	l := NewLog(1<<22, nil)
+	l := NewShardedLog(1<<22, 1, nil)
 	ht := NewHashTable(1 << 12)
 	parts := wire.FullRange().Split(8)
 	var wg sync.WaitGroup
@@ -359,7 +359,7 @@ func TestHashTableConcurrentDisjointRegions(t *testing.T) {
 }
 
 func TestHashTableForEach(t *testing.T) {
-	l := NewLog(1<<20, nil)
+	l := NewShardedLog(1<<20, 1, nil)
 	ht := NewHashTable(128)
 	fillTable(t, l, ht, 1, 300)
 	n := 0

@@ -94,15 +94,10 @@ func (s *LogStats) snapshot() (entries, live, appended, cleaned int64) {
 	return s.EntryCount.Load(), s.LiveBytes.Load(), s.AppendedBytes.Load(), s.CleanedBytes.Load()
 }
 
-// NewLog creates a main log with a single shard head. segSize <= 0
-// selects DefaultSegmentSize.
-func NewLog(segSize int, onAppend AppendFunc) *Log {
-	return NewShardedLog(segSize, 1, onAppend)
-}
-
 // NewShardedLog creates a main log with the given number of shard heads
-// (one per dispatch worker on a server). Appends on distinct shards never
-// contend; every append still gets a globally ordered epoch.
+// (one per dispatch worker on a server; 1 for a plain single-head log).
+// Appends on distinct shards never contend; every append still gets a
+// globally ordered epoch. segSize <= 0 selects DefaultSegmentSize.
 func NewShardedLog(segSize, shards int, onAppend AppendFunc) *Log {
 	if segSize <= 0 {
 		segSize = DefaultSegmentSize
@@ -122,9 +117,6 @@ func NewShardedLog(segSize, shards int, onAppend AppendFunc) *Log {
 	}
 	return l
 }
-
-// Shards returns the number of shard heads.
-func (l *Log) Shards() int { return len(l.shards) }
 
 // NewSideLog creates a side log hanging off the main log: it shares the
 // segment-ID, version, and epoch counters but has its own head segment,
@@ -183,17 +175,12 @@ func (l *Log) Close() {
 	}
 }
 
-// Append writes an entry through shard 0 and returns its ref. Version
-// must already be assigned (NextVersion) so that callers control version
-// ordering.
-func (l *Log) Append(typ EntryType, table wire.TableID, version, aux uint64, key, value []byte) (Ref, error) {
-	return l.AppendW(0, typ, table, version, aux, key, value)
-}
-
-// AppendW writes an entry through the shard picked by worker index w
-// (wrapped modulo the shard count). Appends on distinct shards do not
-// contend; each gets a globally ordered epoch.
-func (l *Log) AppendW(w int, typ EntryType, table wire.TableID, version, aux uint64, key, value []byte) (Ref, error) {
+// Append writes an entry through the shard picked by worker index w
+// (wrapped modulo the shard count) and returns its ref. Version must
+// already be assigned (NextVersion) so that callers control version
+// ordering; aux is a tombstone's killed segment. Appends on distinct
+// shards do not contend; each gets a globally ordered epoch.
+func (l *Log) Append(w int, typ EntryType, table wire.TableID, version, aux uint64, key, value []byte) (Ref, error) {
 	size := EntrySize(len(key), len(value))
 	if size > l.segSize {
 		return Ref{}, errors.New("storage: entry exceeds segment size")
@@ -244,38 +231,12 @@ func (l *Log) AppendW(w int, typ EntryType, table wire.TableID, version, aux uin
 	return Ref{Seg: seg, Off: off}, nil
 }
 
-// AppendObject writes an object entry with a freshly assigned version.
+// AppendObject writes an object entry through shard 0 with a freshly
+// assigned version.
 func (l *Log) AppendObject(table wire.TableID, key, value []byte) (Ref, uint64, error) {
-	return l.AppendObjectW(0, table, key, value)
-}
-
-// AppendObjectW is AppendObject through the shard of worker w.
-func (l *Log) AppendObjectW(w int, table wire.TableID, key, value []byte) (Ref, uint64, error) {
 	v := l.NextVersion()
-	ref, err := l.AppendW(w, EntryObject, table, v, 0, key, value)
+	ref, err := l.Append(0, EntryObject, table, v, 0, key, value)
 	return ref, v, err
-}
-
-// AppendObjectVersion writes an object entry with a caller-chosen version
-// (replay of migrated or recovered records).
-func (l *Log) AppendObjectVersion(table wire.TableID, version uint64, key, value []byte) (Ref, error) {
-	return l.Append(EntryObject, table, version, 0, key, value)
-}
-
-// AppendObjectVersionW is AppendObjectVersion through the shard of worker w.
-func (l *Log) AppendObjectVersionW(w int, table wire.TableID, version uint64, key, value []byte) (Ref, error) {
-	return l.AppendW(w, EntryObject, table, version, 0, key, value)
-}
-
-// AppendTombstone records the deletion of an object that lived in segment
-// killedSeg at the given version.
-func (l *Log) AppendTombstone(table wire.TableID, version, killedSeg uint64, key []byte) (Ref, error) {
-	return l.Append(EntryTombstone, table, version, killedSeg, key, nil)
-}
-
-// AppendTombstoneW is AppendTombstone through the shard of worker w.
-func (l *Log) AppendTombstoneW(w int, table wire.TableID, version, killedSeg uint64, key []byte) (Ref, error) {
-	return l.AppendW(w, EntryTombstone, table, version, killedSeg, key, nil)
 }
 
 // Segment returns the segment with the given ID, if it is part of this log.
@@ -303,16 +264,6 @@ func (l *Log) SegmentCount() int {
 	l.segMu.Lock()
 	defer l.segMu.Unlock()
 	return len(l.segments)
-}
-
-// Head returns shard 0's current head segment (may be nil before the
-// first append). Only meaningful on single-shard logs; sharded callers
-// want TailWatermark instead.
-func (l *Log) Head() *Segment {
-	sh := &l.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.head
 }
 
 // TailWatermark returns an epoch W such that every entry a client write
@@ -420,7 +371,7 @@ func (s *SideLog) Append(table wire.TableID, version uint64, key, value []byte) 
 	if s.committed {
 		return Ref{}, errors.New("storage: append to committed side log")
 	}
-	return s.log.AppendObjectVersion(table, version, key, value)
+	return s.log.Append(0, EntryObject, table, version, 0, key, value)
 }
 
 // AppendTombstone writes a tombstone into the side log (replay of deletes).
@@ -428,7 +379,7 @@ func (s *SideLog) AppendTombstone(table wire.TableID, version uint64, key []byte
 	if s.committed {
 		return Ref{}, errors.New("storage: append to committed side log")
 	}
-	return s.log.AppendTombstone(table, version, 0, key)
+	return s.log.Append(0, EntryTombstone, table, version, 0, key, nil)
 }
 
 // ID returns the side log's log ID.
@@ -465,6 +416,6 @@ func (s *SideLog) Commit() error {
 	s.parent.stats.CleanedBytes.Add(cleaned)
 	s.parent.appended.Add(s.log.appended.Load())
 
-	_, err := s.parent.Append(EntrySideLogCommit, 0, s.parent.NextVersion(), s.log.ID, nil, nil)
+	_, err := s.parent.Append(0, EntrySideLogCommit, 0, s.parent.NextVersion(), s.log.ID, nil, nil)
 	return err
 }

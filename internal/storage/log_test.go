@@ -10,7 +10,7 @@ import (
 )
 
 func TestLogAppendAndRead(t *testing.T) {
-	l := NewLog(4096, nil)
+	l := NewShardedLog(4096, 1, nil)
 	ref, v, err := l.AppendObject(1, []byte("k1"), []byte("v1"))
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestLogAppendAndRead(t *testing.T) {
 }
 
 func TestLogVersionsMonotonic(t *testing.T) {
-	l := NewLog(4096, nil)
+	l := NewShardedLog(4096, 1, nil)
 	var last uint64
 	for i := 0; i < 100; i++ {
 		_, v, err := l.AppendObject(1, []byte{byte(i)}, nil)
@@ -55,7 +55,7 @@ func TestLogVersionsMonotonic(t *testing.T) {
 }
 
 func TestLogRollsSegments(t *testing.T) {
-	l := NewLog(256, nil)
+	l := NewShardedLog(256, 1, nil)
 	for i := 0; i < 50; i++ {
 		if _, _, err := l.AppendObject(1, []byte(fmt.Sprintf("key-%03d", i)), bytes.Repeat([]byte("x"), 32)); err != nil {
 			t.Fatal(err)
@@ -64,8 +64,9 @@ func TestLogRollsSegments(t *testing.T) {
 	if n := l.SegmentCount(); n < 10 {
 		t.Errorf("expected many segments, got %d", n)
 	}
-	// All but the head must be sealed.
-	head := l.Head()
+	// All but the head (the newest segment) must be sealed.
+	segs := l.Segments()
+	head := segs[len(segs)-1]
 	for _, s := range l.Segments() {
 		if s != head && !s.Sealed() {
 			t.Errorf("segment %d not sealed", s.ID)
@@ -74,14 +75,14 @@ func TestLogRollsSegments(t *testing.T) {
 }
 
 func TestLogRejectsOversizeEntry(t *testing.T) {
-	l := NewLog(128, nil)
+	l := NewShardedLog(128, 1, nil)
 	if _, _, err := l.AppendObject(1, []byte("k"), make([]byte, 256)); err == nil {
 		t.Error("oversize append succeeded")
 	}
 }
 
 func TestLogCloseStopsAppends(t *testing.T) {
-	l := NewLog(4096, nil)
+	l := NewShardedLog(4096, 1, nil)
 	l.Close()
 	if _, _, err := l.AppendObject(1, []byte("k"), nil); err != ErrLogClosed {
 		t.Errorf("err = %v, want ErrLogClosed", err)
@@ -89,7 +90,7 @@ func TestLogCloseStopsAppends(t *testing.T) {
 }
 
 func TestLogForEachEntrySeesEverything(t *testing.T) {
-	l := NewLog(512, nil)
+	l := NewShardedLog(512, 1, nil)
 	want := map[string]bool{}
 	for i := 0; i < 40; i++ {
 		k := fmt.Sprintf("key-%d", i)
@@ -118,7 +119,7 @@ func TestLogForEachEntrySeesEverything(t *testing.T) {
 func TestLogAppendEvents(t *testing.T) {
 	var mu sync.Mutex
 	var events []AppendEvent
-	l := NewLog(256, func(ev AppendEvent) {
+	l := NewShardedLog(256, 1, func(ev AppendEvent) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
@@ -149,7 +150,7 @@ func TestLogAppendEvents(t *testing.T) {
 }
 
 func TestSideLogCommit(t *testing.T) {
-	main := NewLog(512, nil)
+	main := NewShardedLog(512, 1, nil)
 	if _, _, err := main.AppendObject(1, []byte("main-key"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestSideLogCommit(t *testing.T) {
 }
 
 func TestSideLogSegmentIDsUnique(t *testing.T) {
-	main := NewLog(512, nil)
+	main := NewShardedLog(512, 1, nil)
 	a := main.NewSideLog(100)
 	b := main.NewSideLog(101)
 	for i := 0; i < 20; i++ {
@@ -230,7 +231,7 @@ func TestSideLogSegmentIDsUnique(t *testing.T) {
 }
 
 func TestConcurrentSideLogAppends(t *testing.T) {
-	main := NewLog(4096, nil)
+	main := NewShardedLog(4096, 1, nil)
 	const workers = 8
 	const perWorker = 200
 	var wg sync.WaitGroup
@@ -268,7 +269,7 @@ func TestConcurrentSideLogAppends(t *testing.T) {
 }
 
 func TestAppendedBytesTracksLineageOffset(t *testing.T) {
-	l := NewLog(4096, nil)
+	l := NewShardedLog(4096, 1, nil)
 	if l.AppendedBytes() != 0 {
 		t.Error("fresh log has nonzero offset")
 	}
@@ -280,7 +281,7 @@ func TestAppendedBytesTracksLineageOffset(t *testing.T) {
 }
 
 func TestSegmentDataImmutablePrefix(t *testing.T) {
-	l := NewLog(1024, nil)
+	l := NewShardedLog(1024, 1, nil)
 	ref, _, _ := l.AppendObject(1, []byte("k"), []byte("v"))
 	data := ref.Seg.Data(0, ref.Seg.Len())
 	cp := make([]byte, len(data))
@@ -295,8 +296,8 @@ func TestSegmentDataImmutablePrefix(t *testing.T) {
 }
 
 func TestRefRecordTombstone(t *testing.T) {
-	l := NewLog(1024, nil)
-	ref, err := l.AppendTombstone(3, 9, 1, []byte("gone"))
+	l := NewShardedLog(1024, 1, nil)
+	ref, err := l.Append(0, EntryTombstone, 3, 9, 1, []byte("gone"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestSideLogIDZeroPanics(t *testing.T) {
 			t.Error("expected panic for MainLogID side log")
 		}
 	}()
-	NewLog(1024, nil).NewSideLog(MainLogID)
+	NewShardedLog(1024, 1, nil).NewSideLog(MainLogID)
 }
 
 func TestHashRangeSplitMatchesBuckets(t *testing.T) {

@@ -32,9 +32,6 @@ type Segment struct {
 	// tombstone rules) still reference; maintained by HashTable and
 	// Cleaner. The cleaner selects low-live segments.
 	liveBytes atomic.Int64
-	// replicatedTo is the offset through which this segment has been
-	// replicated to backups; maintained by the replication manager.
-	replicatedTo atomic.Uint32
 
 	// firstEpoch and lastEpoch bound the append epochs stored in this
 	// segment. With sharded log heads segment IDs no longer order appends,
@@ -63,12 +60,6 @@ func (s *Segment) LiveBytes() int { return int(s.liveBytes.Load()) }
 
 // addLive adjusts the live byte count (positive or negative).
 func (s *Segment) addLive(delta int) { s.liveBytes.Add(int64(delta)) }
-
-// ReplicatedTo returns the replicated high-water offset.
-func (s *Segment) ReplicatedTo() int { return int(s.replicatedTo.Load()) }
-
-// SetReplicatedTo records the replicated high-water offset.
-func (s *Segment) SetReplicatedTo(off int) { s.replicatedTo.Store(uint32(off)) }
 
 // hasRoom reports whether an entry of n bytes fits.
 func (s *Segment) hasRoom(n int) bool { return s.Len()+n <= len(s.buf) }

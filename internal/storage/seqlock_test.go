@@ -17,7 +17,7 @@ import (
 // even while a test goroutine holds it exclusively — a lock-taking reader
 // would deadlock here, a lock-free one returns immediately.
 func TestSeqlockUncontendedGetTakesNoLock(t *testing.T) {
-	l := NewLog(1<<16, nil)
+	l := NewShardedLog(1<<16, 1, nil)
 	ht := NewHashTable(1024)
 	ref, _ := mustAppend(t, l, 1, "alpha", "one")
 	key := []byte("alpha")
@@ -58,7 +58,7 @@ func TestSeqlockUncontendedGetTakesNoLock(t *testing.T) {
 // optimistic retries and then fall back to the stripe read lock — and the
 // fallback must still return the right answer.
 func TestSeqlockRetryAndFallback(t *testing.T) {
-	l := NewLog(1<<16, nil)
+	l := NewShardedLog(1<<16, 1, nil)
 	ht := NewHashTable(1024)
 	ref, _ := mustAppend(t, l, 1, "alpha", "one")
 	key := []byte("alpha")
@@ -93,7 +93,7 @@ func TestSeqlockRetryAndFallback(t *testing.T) {
 // TestSeqlockGetZeroAllocs pins the lock-free read path at zero
 // allocations per op.
 func TestSeqlockGetZeroAllocs(t *testing.T) {
-	l := NewLog(1<<16, nil)
+	l := NewShardedLog(1<<16, 1, nil)
 	ht := NewHashTable(1024)
 	ref, _ := mustAppend(t, l, 1, "alpha", "one")
 	key := []byte("alpha")
@@ -115,7 +115,7 @@ func TestSeqlockGetZeroAllocs(t *testing.T) {
 // segment's published bytes. refMatches and refHeader must reject it by
 // bounds check instead of panicking.
 func TestSeqlockTornRefSafety(t *testing.T) {
-	l := NewLog(1<<16, nil)
+	l := NewShardedLog(1<<16, 1, nil)
 	ref, _ := mustAppend(t, l, 1, "alpha", "one")
 
 	torn := Ref{Seg: ref.Seg, Off: uint32(ref.Seg.Len()) + 7}
@@ -140,7 +140,7 @@ func TestSeqlockTornRefSafety(t *testing.T) {
 func TestHashTableSeqlockStress(t *testing.T) {
 	// Small segments force frequent head rollover so the cleaner always
 	// has mostly-dead segments to relocate from.
-	l := NewLog(1<<12, nil)
+	l := NewShardedLog(1<<12, 1, nil)
 	ht := NewHashTable(256) // few stripes -> heavy reader/writer overlap
 	cleaner := NewCleaner(l, ht)
 
@@ -201,7 +201,7 @@ func TestHashTableSeqlockStress(t *testing.T) {
 		for i := 0; i < 8000; i++ {
 			p := pairs[rng.Intn(keys)]
 			v := l.NextVersion()
-			ref, err := l.AppendObjectVersion(1, v, p.key, []byte("replayed"))
+			ref, err := l.Append(0, EntryObject, 1, v, 0, p.key, []byte("replayed"))
 			if err != nil {
 				return // log closed or full; fine for a stress test
 			}

@@ -23,7 +23,7 @@ func TestShardedLogEpochsUniqueAndOrdered(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perShard; i++ {
 				key := []byte(fmt.Sprintf("w%d-%04d", w, i))
-				if _, _, err := l.AppendObjectW(w, 1, key, []byte("v")); err != nil {
+				if _, err := l.Append(w, EntryObject, 1, l.NextVersion(), 0, key, []byte("v")); err != nil {
 					t.Error(err)
 					return
 				}
@@ -90,7 +90,7 @@ func TestTailWatermarkClosure(t *testing.T) {
 				default:
 				}
 				key := []byte(fmt.Sprintf("bg-w%d-%06d", w, i))
-				if _, _, err := l.AppendObjectW(w, 1, key, []byte("v")); err != nil {
+				if _, err := l.Append(w, EntryObject, 1, l.NextVersion(), 0, key, []byte("v")); err != nil {
 					t.Error(err)
 					return
 				}
@@ -101,7 +101,7 @@ func TestTailWatermarkClosure(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		mark := l.TailWatermark()
 		for w := 0; w < shards; w++ {
-			ref, _, err := l.AppendObjectW(w, 1, []byte(fmt.Sprintf("probe-%d-%d", round, w)), []byte("p"))
+			ref, err := l.Append(w, EntryObject, 1, l.NextVersion(), 0, []byte(fmt.Sprintf("probe-%d-%d", round, w)), []byte("p"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,8 @@ func TestCleanerVsShardedHeads(t *testing.T) {
 					key := []byte(fmt.Sprintf("w%d-key%02d", w, k))
 					value := []byte(fmt.Sprintf("v%04d", r))
 					hash := wire.HashKey(key)
-					ref, v, err := l.AppendObjectW(w, 1, key, value)
+					v := l.NextVersion()
+					ref, err := l.Append(w, EntryObject, 1, v, 0, key, value)
 					if err != nil {
 						t.Error(err)
 						return

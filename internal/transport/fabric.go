@@ -205,24 +205,31 @@ func (p *Port) Send(m *wire.Message) error {
 	if !ok || dst.closed.Load() {
 		return ErrUnreachable
 	}
+	// A full egress ring applies backpressure like a real NIC queue;
+	// closing the port releases a sender blocked on it.
 	select {
 	case p.egress <- m:
 		return nil
-	default:
-		// Egress ring full: apply backpressure like a real NIC queue.
-		p.egress <- m
-		return nil
+	case <-p.done:
+		return ErrClosed
 	}
 }
 
 // egressLoop paces transmission to the configured bandwidth using a
 // virtual clock: short debts accumulate and are paid with one sleep once
 // they exceed the OS timer granularity, so pacing is accurate in aggregate
-// even for microsecond-scale messages.
+// even for microsecond-scale messages. It exits when the port closes;
+// messages still queued then are lost, as on a crashed NIC.
 func (p *Port) egressLoop() {
 	bw := p.fab.cfg.BandwidthBytesPerSec
 	lat := p.fab.cfg.Latency
-	for m := range p.egress {
+	for {
+		var m *wire.Message
+		select {
+		case m = <-p.egress:
+		case <-p.done:
+			return
+		}
 		if bw > 0 {
 			serialize := time.Duration(float64(m.WireSize()) / bw * float64(time.Second))
 			p.nicMu.Lock()

@@ -137,13 +137,13 @@ func TestTCPLargeFrames(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	msg := &wire.Message{ID: 1, To: 2, Op: wire.OpReplicateSegment,
-		Body: &wire.ReplicateSegmentRequest{Master: 1, SegmentID: 9, Data: data}}
+	msg := &wire.Message{ID: 1, To: 2, Op: wire.OpReplicateBatch,
+		Body: &wire.ReplicateBatchRequest{Master: 1, Chunks: []wire.ReplicateChunk{{SegmentID: 9, Data: data}}}}
 	if err := a.Send(msg); err != nil {
 		t.Fatal(err)
 	}
 	got := <-b.Inbound()
-	req := got.Body.(*wire.ReplicateSegmentRequest)
+	req := got.Body.(*wire.ReplicateBatchRequest).Chunks[0]
 	if len(req.Data) != len(data) {
 		t.Fatalf("size %d", len(req.Data))
 	}

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -104,9 +106,9 @@ func TestFabricBandwidthPacing(t *testing.T) {
 		}
 		close(done)
 	}()
-	payload := &wire.ReplicateSegmentRequest{Data: make([]byte, msgSize)}
+	payload := &wire.ReplicateBatchRequest{Chunks: []wire.ReplicateChunk{{Data: make([]byte, msgSize)}}}
 	for i := 0; i < count; i++ {
-		if err := a.Send(&wire.Message{ID: uint64(i), To: 2, Op: wire.OpReplicateSegment, Body: payload}); err != nil {
+		if err := a.Send(&wire.Message{ID: uint64(i), To: 2, Op: wire.OpReplicateBatch, Body: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,6 +119,51 @@ func TestFabricBandwidthPacing(t *testing.T) {
 	}
 	if elapsed > 500*time.Millisecond {
 		t.Errorf("pacing too slow: %v", elapsed)
+	}
+}
+
+// pacers counts the goroutines running a port's egress pacer.
+func pacers() int {
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Port).egressLoop(")
+}
+
+// TestFabricCloseStopsPacing: closing a paced port ends its egress pacer
+// and releases a sender blocked on its full egress ring.
+func TestFabricCloseStopsPacing(t *testing.T) {
+	before := pacers()
+	f := NewFabric(FabricConfig{BandwidthBytesPerSec: 10 << 20, QueueLen: 1})
+	ports := []*Port{f.Attach(1), f.Attach(2), f.Attach(3)}
+	// 1 MB at 10 MB/s holds the pacer ~100 ms on the first message; the
+	// second fills the one-slot ring, so a third Send blocks.
+	big := &wire.ReplicateBatchRequest{Chunks: []wire.ReplicateChunk{{Data: make([]byte, 1<<20)}}}
+	msg := func(id uint64) *wire.Message {
+		return &wire.Message{ID: id, To: 2, Op: wire.OpReplicateBatch, Body: big}
+	}
+	for i := uint64(0); i < 2; i++ {
+		if err := ports[0].Send(msg(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocked := make(chan error, 1)
+	go func() { blocked <- ports[0].Send(msg(2)) }()
+	for _, p := range ports {
+		_ = p.Close()
+	}
+	select {
+	case err := <-blocked:
+		if err != ErrClosed {
+			t.Fatalf("Send on a closed port's full ring returned %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Send still blocked on a closed port's egress ring")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for pacers() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d egress pacers outlive Close", pacers()-before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

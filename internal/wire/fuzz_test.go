@@ -68,9 +68,6 @@ func seedMessages() []*Message {
 			Body: &PullTailRequest{Table: 3, Range: FullRange(), AfterEpoch: 2}},
 		{ID: 17, From: 7, To: 8, Op: OpPullTail, IsResponse: true,
 			Body: &PullTailResponse{Status: StatusOK, Records: []Record{tomb}}},
-		{ID: 18, From: 7, To: 10, Op: OpReplicateSegment, Priority: PriorityReplication,
-			Body: &ReplicateSegmentRequest{Master: 7, LogID: 1, SegmentID: 6, Offset: 512,
-				Data: []byte("log bytes"), Close: true}},
 		{ID: 31, From: 7, To: 10, Op: OpReplicateBatch, Priority: PriorityReplication,
 			Body: &ReplicateBatchRequest{Master: 7, Chunks: []ReplicateChunk{
 				{LogID: 0, SegmentID: 6, Offset: 512, Data: []byte("shard0 bytes"), Close: true},
@@ -78,6 +75,14 @@ func seedMessages() []*Message {
 			}}},
 		{ID: 31, From: 10, To: 7, Op: OpReplicateBatch, IsResponse: true,
 			Body: &ReplicateBatchResponse{Status: StatusOK, ChunkStatuses: []Status{StatusOK, StatusOK}}},
+		// The one-chunk batch that side-log re-replication and failover send
+		// per (segment, replica), and a reply that rejects its chunk.
+		{ID: 18, From: 7, To: 10, Op: OpReplicateBatch, Priority: PriorityReplication,
+			Body: &ReplicateBatchRequest{Master: 7, Chunks: []ReplicateChunk{
+				{LogID: 1, SegmentID: 6, Offset: 0, Data: []byte("whole segment"), Close: true},
+			}}},
+		{ID: 18, From: 10, To: 7, Op: OpReplicateBatch, IsResponse: true,
+			Body: &ReplicateBatchResponse{Status: StatusOK, ChunkStatuses: []Status{StatusInternalError}}},
 		{ID: 19, From: 2, To: 10, Op: OpGetBackupSegments,
 			Body: &GetBackupSegmentsRequest{Master: 7, MinLogOffset: 99, Cursor: 3, MaxBytes: 1 << 20}},
 		{ID: 19, From: 10, To: 2, Op: OpGetBackupSegments, IsResponse: true,
@@ -154,8 +159,6 @@ func seedMessages() []*Message {
 			Body: &DropTabletResponse{Status: StatusOK}},
 		{ID: 16, From: 8, To: 7, Op: OpReplayRecords, IsResponse: true,
 			Body: &ReplayRecordsResponse{Status: StatusOK}},
-		{ID: 18, From: 10, To: 7, Op: OpReplicateSegment, IsResponse: true,
-			Body: &ReplicateSegmentResponse{Status: StatusOK}},
 		{ID: 20, From: 9, To: 2, Op: OpTakeTablets, IsResponse: true,
 			Body: &TakeTabletsResponse{Status: StatusOK}},
 		{ID: 22, From: CoordinatorID, To: 9, Op: OpCreateTable, IsResponse: true,

@@ -454,15 +454,6 @@ func fields(c *codec, p Payload) {
 	case *PullTailResponse:
 		u8(c, &b.Status)
 		seq(c, &b.Records)
-	case *ReplicateSegmentRequest:
-		u64(c, &b.Master)
-		u64(c, &b.LogID)
-		u64(c, &b.SegmentID)
-		u32(c, &b.Offset)
-		boolean(c, &b.Close)
-		blob(c, &b.Data)
-	case *ReplicateSegmentResponse:
-		u8(c, &b.Status)
 	case *ReplicateBatchRequest:
 		u64(c, &b.Master)
 		seq(c, &b.Chunks)

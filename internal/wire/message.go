@@ -398,25 +398,6 @@ func (r *PullTailResponse) Op() Op { return OpPullTail }
 // Replication path
 // ---------------------------------------------------------------------------
 
-// ReplicateSegmentRequest appends log data to a backup's replica of a
-// segment. Offset allows incremental tail replication.
-type ReplicateSegmentRequest struct {
-	Master    ServerID
-	LogID     uint64 // distinguishes main log and side logs
-	SegmentID uint64
-	Offset    uint32
-	Data      []byte
-	// Close seals the segment replica.
-	Close bool
-}
-
-func (r *ReplicateSegmentRequest) Op() Op { return OpReplicateSegment }
-
-// ReplicateSegmentResponse acknowledges durable receipt.
-type ReplicateSegmentResponse struct{ Status Status }
-
-func (r *ReplicateSegmentResponse) Op() Op { return OpReplicateSegment }
-
 // ReplicateChunk is one contiguous span of one segment's bytes inside a
 // batched replication request.
 type ReplicateChunk struct {
@@ -428,11 +409,12 @@ type ReplicateChunk struct {
 	Close bool
 }
 
-// ReplicateBatchRequest is the group-commit unit: one RPC carrying every
-// shard's pending log growth destined for one backup. The backup applies
-// chunks in order under a single lock acquisition and acknowledges each
-// chunk individually, so a master can fall back to whole-segment
-// re-replication for exactly the chunks that failed.
+// ReplicateBatchRequest is the only replica write: it appends each chunk
+// at its offset of a backup's replica. Group commit sends one per backup
+// carrying every shard's pending log growth; side-log re-replication and
+// failover send one whole segment per request. The backup applies chunks
+// in order and acknowledges each individually, so a master can fall back
+// to whole-segment re-replication for exactly the chunks that failed.
 type ReplicateBatchRequest struct {
 	Master ServerID
 	Chunks []ReplicateChunk

@@ -60,8 +60,10 @@ const (
 	OpPriorityPull
 	OpDropTablet
 
-	// Replication path.
-	OpReplicateSegment
+	// Op 16 is reserved: it was the single-segment replication op, now
+	// retired (OpReplicateBatch carries every replica write). The gap keeps
+	// every later op code, and the fuzz corpus that encodes them, stable.
+	_
 
 	// Coordinator control path.
 	OpGetTabletMap
@@ -91,8 +93,9 @@ const (
 	// corpus that encodes them — stable.)
 	OpAbortMigration
 
-	// Group-commit replication: one RPC carries every shard's pending log
-	// growth for one backup. (Appended last; see OpAbortMigration.)
+	// Replication: every write of replica bytes, from group commit's
+	// per-backup batch to a whole side-log segment. (Appended last; see
+	// OpAbortMigration.)
 	OpReplicateBatch
 
 	// Rebalancing control path (appended last; see OpAbortMigration).
@@ -140,7 +143,6 @@ var ops = [...]opInfo{
 	OpPull:              {"Pull", body[PullRequest], body[PullResponse]},
 	OpPriorityPull:      {"PriorityPull", body[PriorityPullRequest], body[PriorityPullResponse]},
 	OpDropTablet:        {"DropTablet", body[DropTabletRequest], body[DropTabletResponse]},
-	OpReplicateSegment:  {"ReplicateSegment", body[ReplicateSegmentRequest], body[ReplicateSegmentResponse]},
 	OpGetTabletMap:      {"GetTabletMap", body[GetTabletMapRequest], body[GetTabletMapResponse]},
 	OpCreateTable:       {"CreateTable", body[CreateTableRequest], body[CreateTableResponse]},
 	OpCreateIndex:       {"CreateIndex", body[CreateIndexRequest], body[CreateIndexResponse]},

@@ -166,8 +166,6 @@ func sampleMessages(rng *rand.Rand) []*Message {
 		&ReplayRecordsResponse{Status: StatusOK},
 		&PullTailRequest{Table: 9, Range: HashRange{1, 2}, AfterEpoch: 7},
 		&PullTailResponse{Status: StatusOK, Records: recs},
-		&ReplicateSegmentRequest{Master: 2, LogID: 1, SegmentID: 17, Offset: 128, Data: rb(), Close: true},
-		&ReplicateSegmentResponse{Status: StatusOK},
 		&ReplicateBatchRequest{Master: 2, Chunks: []ReplicateChunk{
 			{LogID: 0, SegmentID: 17, Offset: 128, Data: rb(), Close: true},
 			{LogID: 0, SegmentID: 18, Data: rb()}}},
@@ -320,6 +318,18 @@ func TestUnmarshalGarbage(t *testing.T) {
 	buf := AppendMessage(nil, m)
 	if _, err := UnmarshalMessage(buf); err == nil {
 		t.Error("expected error for unknown opcode")
+	}
+	// The retired single-segment replication op keeps its code as a gap:
+	// a frame carrying it is an error, and the ops after it did not move.
+	retired := OpDropTablet + 1
+	if retired+1 != OpGetTabletMap {
+		t.Fatalf("reserved op gap moved: OpGetTabletMap = %d", OpGetTabletMap)
+	}
+	for _, resp := range []bool{false, true} {
+		buf := AppendMessage(nil, &Message{ID: 2, Op: retired, IsResponse: resp})
+		if _, err := UnmarshalMessage(buf); err == nil {
+			t.Errorf("retired op %d (resp=%v) decoded", retired, resp)
+		}
 	}
 }
 
