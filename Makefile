@@ -1,17 +1,23 @@
 GO ?= go
 
-.PHONY: all build check test race vet lint fuzz faults faults-persist stress-write bench bench-scale bench-rebalance bench-durability bench-pairs bins clean
+.PHONY: all build check fmt test race vet lint fuzz faults faults-persist stress-write bench bench-scale bench-rebalance bench-durability bench-pairs bins clean
 
 all: build
 
 build:
 	$(GO) build ./...
 
-# check is the tier-1 gate: vet, the repo's own static analyzers, the
-# write-path concurrency stress suite, and the full test suite under the
-# race detector.
-check: vet lint stress-write
+# check is the tier-1 gate: formatting, vet, the repo's own static
+# analyzers, the write-path concurrency stress suite, and the full test
+# suite under the race detector.
+check: fmt vet lint stress-write
 	$(GO) test -race ./...
+
+# fmt fails when a Go file outside testdata/ is not gofmt-formatted, and
+# names the files.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go' | grep -v '/testdata/')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # stress-write re-runs (uncached) the write-path concurrency seams under
 # the race detector: the cleaner racing all sharded log heads, the epoch /

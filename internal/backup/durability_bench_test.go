@@ -127,7 +127,7 @@ func TestDurabilityBenchArtifact(t *testing.T) {
 		nsPerOp := float64(r.T.Nanoseconds()) / float64(r.N)
 		mbPerSec := float64(r.N) * flushSpan * flushBatchChunks / r.T.Seconds() / 1e6
 		rows = append(rows, row{
-			Name: "ReplicationFlush/" + backend.name,
+			Name:    "ReplicationFlush/" + backend.name,
 			NsPerOp: nsPerOp, MBPerSec: mbPerSec, SpanBytes: flushSpan,
 		})
 		t.Logf("%s: %.0f ns/op  %.1f MB/s", backend.name, nsPerOp, mbPerSec)

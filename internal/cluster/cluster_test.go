@@ -12,6 +12,7 @@ import (
 	"rocksteady/internal/core"
 	"rocksteady/internal/faultinject"
 	"rocksteady/internal/server"
+	"rocksteady/internal/storage"
 	"rocksteady/internal/transport"
 	"rocksteady/internal/wire"
 )
@@ -933,6 +934,100 @@ func TestMigrateBackClearsStaleCopy(t *testing.T) {
 	}
 	if v, err := cl.Read(ctx, table, keys[1]); err != nil || string(v) != string(values[1]) {
 		t.Fatalf("live key after migrating back: %q %v", v, err)
+	}
+}
+
+// TestMigrateOntoServedRangeRefused: a target drops what it holds of the
+// range before the migration starts, taking it for a stale copy. A target
+// that serves part of the range holds live records there, so the
+// migration is refused and every record stays readable.
+func TestMigrateOntoServedRangeRefused(t *testing.T) {
+	c := testCluster(t, Config{Servers: 2})
+	cl := c.MustClient()
+	ctx := context.Background()
+	table, err := cl.CreateTable(ctx, "t", c.ServerIDs()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, values := loadN(t, c, table, 1000)
+	// The source owns the start of the full range, the target the rest.
+	if g, err := c.Migrate(ctx, table, wire.FullRange(), 0, 1); err == nil && g.Wait().Err == nil {
+		t.Fatal("migration onto a range the target serves succeeded")
+	}
+	for i, k := range keys {
+		if v, err := cl.Read(ctx, table, k); err != nil || string(v) != string(values[i]) {
+			t.Fatalf("key %s after the refused migration: %q %v", k, v, err)
+		}
+	}
+}
+
+// TestMigrationTombstoneSweep: deletes during a migration park tombstones
+// in the target's hash table, and the epilogue sweeps every one of them; a
+// migration during which no deletion was parked runs no tombstone sweep.
+func TestMigrationTombstoneSweep(t *testing.T) {
+	c := testCluster(t, Config{Servers: 2, Fabric: transport.FabricConfig{BandwidthBytesPerSec: 4 << 20}})
+	cl := c.MustClient()
+	ctx := context.Background()
+	table, err := cl.CreateTable(ctx, "t", c.Server(0).ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, _ := loadN(t, c, table, 40000)
+	tombstones := func(s *server.Server) (n int) {
+		s.HashTable().ForEach(func(_ uint64, ref storage.Ref) bool {
+			if h, err := ref.Header(); err == nil && h.Table == table && h.Type == storage.EntryTombstone {
+				n++
+			}
+			return true
+		})
+		return n
+	}
+	migrate := func(from, to int, during func(dst *server.Server)) {
+		t.Helper()
+		g, err := c.Migrate(ctx, table, wire.FullRange(), from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		during(c.Server(to))
+		select {
+		case <-g.Done():
+			t.Fatal("the migration finished before the test acted during it")
+		default:
+		}
+		if res := g.Wait(); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+
+	deleted := keys[:5]
+	migrate(0, 1, func(*server.Server) {
+		for _, k := range deleted {
+			if err := cl.Delete(ctx, table, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if n := tombstones(c.Server(1)); n != 0 {
+		t.Fatalf("%d parked tombstones left after the migration", n)
+	}
+	for _, k := range deleted {
+		if v, err := cl.Read(ctx, table, k); err != client.ErrNoSuchKey {
+			t.Fatalf("deleted key %s reads %q %v", k, v, err)
+		}
+	}
+
+	// Back with no deletes. A tombstone put into the target's hash table
+	// without counting as parked stays there: no tombstone sweep ran.
+	migrate(1, 0, func(dst *server.Server) {
+		key := []byte("uncounted")
+		ref, err := dst.Log().Append(0, storage.EntryTombstone, table, dst.Log().NextVersion(), 0, key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst.HashTable().Put(table, key, wire.HashKey(key), ref)
+	})
+	if n := tombstones(c.Server(0)); n != 1 {
+		t.Fatalf("%d tombstones after a migration without deletes, want the 1 put there", n)
 	}
 }
 

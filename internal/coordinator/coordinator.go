@@ -21,10 +21,10 @@ import (
 // recovery-log tail for one migrating tablet: two integers (which log,
 // what offset) plus the tablet identity, exactly as §3.4 describes.
 type Dependency struct {
-	Table           wire.TableID
-	Range           wire.HashRange
-	Source          wire.ServerID
-	Target          wire.ServerID
+	Table              wire.TableID
+	Range              wire.HashRange
+	Source             wire.ServerID
+	Target             wire.ServerID
 	TargetLogWatermark uint64
 }
 
@@ -74,8 +74,15 @@ func New(node *transport.Node) *Coordinator {
 	return c
 }
 
-// WaitForRecoveries blocks until in-flight crash recoveries finish.
-func (c *Coordinator) WaitForRecoveries() { c.recoveryWG.Wait() }
+// WaitForRecoveries blocks until in-flight crash recoveries finish. Taking
+// mu orders the wait after the recoveryWG.Add of every crash report
+// already processed, also when the report's reply reached the caller over
+// a socket, which gives the race detector no happens-before edge.
+func (c *Coordinator) WaitForRecoveries() {
+	c.mu.Lock()
+	c.mu.Unlock()
+	c.recoveryWG.Wait()
+}
 
 // Close shuts down the coordinator's node.
 func (c *Coordinator) Close() { c.node.Close() }
@@ -364,8 +371,8 @@ func (c *Coordinator) reportCrash(ctx context.Context, crashed wire.ServerID) {
 	}
 	delete(c.servers, crashed)
 	c.recovered[crashed] = true
-	c.mu.Unlock()
 	c.recoveryWG.Add(1)
+	c.mu.Unlock()
 	rctx := context.WithoutCancel(ctx)
 	go func() {
 		defer c.recoveryWG.Done()

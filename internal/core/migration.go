@@ -30,6 +30,9 @@ type Migration struct {
 	// write racing the migration carries a larger epoch, so the epilogue's
 	// PullTail(AfterEpoch: tailWatermark) is exactly the catch-up delta.
 	tailWatermark uint64
+	// parkedAtBegin is the server's parked-tombstone count when the
+	// migration began: the epilogue sweeps tombstones only if it moved.
+	parkedAtBegin uint64
 
 	sideLogMu   sync.Mutex
 	sideLogs    []*storage.SideLog
@@ -158,6 +161,20 @@ func (g *Migration) cancel(err error) { g.fail(err) }
 func (g *Migration) begin() wire.Status {
 	g.started = time.Now()
 	srv := g.mgr.srv
+	g.parkedAtBegin = srv.ParkedTombstones()
+
+	// Anything this server holds of a range it does not serve is a stale
+	// copy from an earlier ownership whose drop never landed. Replay is
+	// newest-wins, so a key deleted since would resurrect: drop the copy.
+	// It goes before the source stops serving, so the sweep (and any join
+	// with a sweep still pending here) stays out of the window in which
+	// clients are refused. A range this server serves is not a stale copy;
+	// refuse to migrate it here rather than drop live records.
+	if srv.Serves(g.Table, g.Range) {
+		g.fail(errors.New("target already serves part of the range"))
+		return wire.StatusWrongServer
+	}
+	srv.DropTablet(g.Table, g.Range)
 
 	// Both prologue RPCs are idempotent (re-preparing an already-prepared
 	// range and re-registering an identical transfer both answer OK), so
@@ -190,10 +207,6 @@ func (g *Migration) begin() wire.Status {
 	// Adopt the source's version ceiling before any write can land, so
 	// target-issued versions always beat every pulled record (§3).
 	srv.Log().BumpVersionTo(g.ceiling)
-	// The source owns the range, so anything this server still holds of it
-	// is a stale copy from an earlier ownership whose drop never landed.
-	// Replay is newest-wins, so a key deleted since would resurrect.
-	srv.DropTablet(g.Table, g.Range)
 
 	if g.opts.SourceRetainsOwnership {
 		// Ownership flips only at the end; the target pulls quietly.
@@ -436,6 +449,7 @@ func (g *Migration) replayRecords(records []wire.Record) {
 			// the record loses the version race.
 			var tref storage.Ref
 			var err error
+			srv.ParkTombstone()
 			if useSideLogs {
 				tref, err = sl.AppendTombstone(rec.Table, rec.Version, rec.Key)
 			} else {
@@ -557,18 +571,24 @@ func (g *Migration) complete() {
 		g.fail(err)
 		return
 	}
-	// The source's copy is garbage from here on. Dropping it is one
-	// best-effort attempt, never retried: a retry goes out only after a
-	// full RPC timeout, by which time the range may have migrated back to
-	// the source, and the drop would discard the new owner's data. A copy
-	// left behind is cleared by the next migration that brings the range
-	// back there (begin).
+	// The source's copy is garbage from here on. The source replies as
+	// soon as the range is unserved there and reclaims the records in the
+	// background; whatever puts records into the range there again first
+	// finishes that sweep, so a migrate-back cannot lose records to it.
+	// The drop is one best-effort attempt, never retried: a retry goes out
+	// only after a full RPC timeout, by which time the range may have
+	// migrated back to the source, and the drop would discard the new
+	// owner's data. A copy left behind is cleared by the next migration
+	// that brings the range back there (begin).
 	_, _ = srv.Node().Call(g.ctx, g.Source, wire.PriorityForeground, &wire.DropTabletRequest{
 		Table: g.Table, Range: g.Range,
 	})
 	// Replay has quiesced: deletions parked in the hash table during the
-	// migration can leave it.
-	srv.HashTable().RemoveTombstoneRefs(g.Table, g.Range)
+	// migration can leave it. Only a moved parked-tombstone count can
+	// have put one there; without one the range-sized sweep is skipped.
+	if srv.ParkedTombstones() != g.parkedAtBegin {
+		srv.HashTable().RemoveTombstoneRefs(g.Table, g.Range)
+	}
 	// Only entries still migrating in: if a newer migration has already
 	// prepared this range to leave again, its MigratingOut must stand.
 	srv.SetTabletState(g.Table, g.Range, server.TabletMigratingIn, server.TabletNormal)

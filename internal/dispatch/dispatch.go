@@ -213,6 +213,7 @@ func (s *Scheduler) enqueue(p wire.Priority, qt queuedTask) {
 // tryPop takes the highest-priority task from the worker's own queue, or
 // failing that steals from a neighbor (scanning count atomics first so an
 // empty pool costs no lock traffic). Reports the task and its priority.
+//
 //lint:hotpath
 func (s *Scheduler) tryPop(id int) (queuedTask, wire.Priority, bool) {
 	n := len(s.qs)

@@ -151,6 +151,15 @@ type Server struct {
 	tablets  atomic.Pointer[tabletMap]
 	tabletMu sync.Mutex
 
+	// sweeps are the retired ranges whose records are still being
+	// reclaimed (sweep.go).
+	sweepMu sync.Mutex
+	sweeps  []*rangeSweep
+
+	// parkedTombstones counts deletions parked in the hash table of a
+	// migrating-in range (ParkTombstone).
+	parkedTombstones atomic.Uint64
+
 	migration atomic.Pointer[MigrationHandler]
 
 	cleaner     *storage.Cleaner
@@ -321,6 +330,15 @@ func (s *Server) ShedCounts() (total int64, perPriority [wire.NumPriorities]int6
 // TraceSpans snapshots the server's bounded dispatch-span ring (oldest
 // first): per-request queue-wait vs service time, keyed by trace id.
 func (s *Server) TraceSpans() []metrics.Span { return s.sched.Trace().Snapshot() }
+
+// ParkTombstone counts a deletion about to be parked in the hash table of
+// a migrating-in range. Migrations read the count (ParkedTombstones) to
+// skip the epilogue's tombstone sweep when none was parked since they
+// began.
+func (s *Server) ParkTombstone() { s.parkedTombstones.Add(1) }
+
+// ParkedTombstones returns how many deletions were ever parked here.
+func (s *Server) ParkedTombstones() uint64 { return s.parkedTombstones.Load() }
 
 // Config returns the server's configuration.
 func (s *Server) Config() Config { return s.cfg }
@@ -606,6 +624,7 @@ func (s *Server) deleteDuringMigration(ctx context.Context, st *statShard, req *
 	if err != nil {
 		return &wire.DeleteResponse{Status: wire.StatusInternalError}
 	}
+	s.ParkTombstone()
 	if old, existed := s.ht.Put(req.Table, req.Key, hash, ref); existed {
 		s.log.MarkDead(old)
 	}
@@ -792,11 +811,19 @@ func (s *Server) handlePriorityPull(st *statShard, req *wire.PriorityPullRequest
 	return resp
 }
 
+// handleDropTablet retires the range and replies: the range is unserved
+// from here on, and its records leave in background steps. Whoever puts
+// records into the range again first finishes what is left of the sweep
+// (finishSweeps), so the records are gone before the range can be
+// registered here again.
 func (s *Server) handleDropTablet(req *wire.DropTabletRequest) *wire.DropTabletResponse {
 	if h := s.migrationHandler(); h != nil {
 		h.CancelIncoming(req.Table, req.Range)
 	}
-	s.DropTablet(req.Table, req.Range)
+	s.tabletMu.Lock()
+	sw := s.retireLocked(req.Table, req.Range)
+	s.tabletMu.Unlock()
+	s.sweepInBackground(sw)
 	return &wire.DropTabletResponse{Status: wire.StatusOK}
 }
 
@@ -808,6 +835,9 @@ func (s *Server) handleTakeTablets(ctx context.Context, st *statShard, req *wire
 	if req.VersionCeiling > 0 {
 		s.log.BumpVersionTo(req.VersionCeiling)
 	}
+	// The range is not served here yet: a sweep still pending from an
+	// earlier drop of it must not reach the records replayed below.
+	s.finishSweeps(req.Table, req.Range)
 	tombstones := false
 	for i := range req.Records {
 		rec := &req.Records[i]
@@ -874,6 +904,9 @@ func (s *Server) handleReplayRecords(ctx context.Context, st *statShard, req *wi
 	if req.SkipReplay {
 		return &wire.ReplayRecordsResponse{Status: wire.StatusOK}
 	}
+	// The pushed records carry no range; any sweep pending on the table
+	// is finished before they land.
+	s.finishSweeps(req.Table, wire.FullRange())
 	for i := range req.Records {
 		rec := &req.Records[i]
 		if rec.Tombstone {

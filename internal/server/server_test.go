@@ -371,6 +371,12 @@ func TestServerDropTabletDiscardsData(t *testing.T) {
 	if resp.Status != wire.StatusOK {
 		t.Fatal(resp)
 	}
+	// The reply means the range is unserved; its records leave in the
+	// background, and a join finishes whatever is left of that.
+	if read := r.call(t, &wire.ReadRequest{Table: 1, Key: []byte("k0")}).(*wire.ReadResponse); read.Status != wire.StatusWrongServer {
+		t.Fatalf("read after drop: %v", read.Status)
+	}
+	r.srv.finishSweeps(1, wire.FullRange())
 	if r.srv.HashTable().Len() != 0 {
 		t.Fatalf("hash table still has %d entries", r.srv.HashTable().Len())
 	}

@@ -1,9 +1,6 @@
 package server
 
-import (
-	"rocksteady/internal/storage"
-	"rocksteady/internal/wire"
-)
+import "rocksteady/internal/wire"
 
 // tabletMap is an immutable snapshot of the server's tablet registry,
 // published RCU-style through Server.tablets (an atomic.Pointer). Readers
@@ -43,18 +40,32 @@ func (s *Server) tabletFor(table wire.TableID, hash uint64) (TabletState, bool) 
 	return s.tabletSnapshot().lookup(table, hash)
 }
 
+// Serves reports whether this server serves any part of (table, rng) in
+// normal service.
+func (s *Server) Serves(table wire.TableID, rng wire.HashRange) bool {
+	for _, t := range s.tabletSnapshot().entries {
+		if t.table == table && t.rng.Overlaps(rng) && t.state == TabletNormal {
+			return true
+		}
+	}
+	return false
+}
+
 // RegisterTablet records ownership of (table, rng) in the given state.
 // Overlapping portions of existing entries are carved away: registering a
 // sub-range of a tablet splits the tablet, leaving the remainder in its
 // previous state. This is how "defer all repartitioning until the moment
 // of migration" works at the server: boundaries appear exactly when a
-// migration (or grant) names them.
+// migration (or grant) names them. A pending sweep of an earlier drop of
+// the range is finished first, so it cannot reach records that arrive
+// once the range is registered.
 func (s *Server) RegisterTablet(table wire.TableID, rng wire.HashRange, state TabletState) {
 	// Heat tracking keys off registered tables; registering here (rare,
 	// off the hot path) is what lets Record stay allocation-free.
 	s.heat.RegisterTable(table)
 	s.tabletMu.Lock()
 	defer s.tabletMu.Unlock()
+	s.finishSweeps(table, rng)
 	cur := s.tablets.Load()
 	next := make([]tabletEntry, 0, len(cur.entries)+2)
 	for _, t := range cur.entries {
@@ -74,23 +85,15 @@ func (s *Server) RegisterTablet(table wire.TableID, rng wire.HashRange, state Ta
 	s.tablets.Store(&tabletMap{entries: next})
 }
 
-// DropTablet forgets (table, rng) and discards its records. The records go
-// before tabletMu is released: a migration that registers the range here
-// again (migrating it straight back) must not have the records it pulls or
-// the writes it acknowledges swept away by the tail of this drop.
-func (s *Server) DropTablet(table wire.TableID, rng wire.HashRange) int {
+// DropTablet forgets (table, rng) and discards its records before it
+// returns: it retires the range and finishes the sweep inline, under
+// tabletMu. The DropTablet RPC only retires the range and leaves the
+// sweep to the background (handleDropTablet).
+func (s *Server) DropTablet(table wire.TableID, rng wire.HashRange) {
 	s.tabletMu.Lock()
 	defer s.tabletMu.Unlock()
-	cur := s.tablets.Load()
-	kept := make([]tabletEntry, 0, len(cur.entries))
-	for _, t := range cur.entries {
-		if t.table == table && rng.ContainsRange(t.rng) {
-			continue
-		}
-		kept = append(kept, t)
-	}
-	s.tablets.Store(&tabletMap{entries: kept})
-	return s.ht.RemoveRange(table, rng, func(ref storage.Ref) { s.log.MarkDead(ref) })
+	s.retireLocked(table, rng)
+	s.finishSweeps(table, rng)
 }
 
 // SetTabletState moves every tablet inside rng that is in state from to

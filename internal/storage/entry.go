@@ -81,6 +81,7 @@ func (h *EntryHeader) String() string {
 
 // encodeEntry encodes header+key+value at the end of buf and returns the
 // extended slice. The checksum is computed here.
+//
 //lint:hotpath
 func encodeEntry(buf []byte, h *EntryHeader, key, value []byte) []byte {
 	start := len(buf)

@@ -481,40 +481,57 @@ func (t *HashTable) ScanRange(table wire.TableID, rng wire.HashRange, startBucke
 }
 
 // RemoveRange deletes every entry of table whose key hash lies in rng,
-// invoking onRemove for each (to mark log bytes dead). Used when a source
-// drops a migrated tablet.
+// invoking onRemove for each (to mark log bytes dead). Used when a server
+// drops a tablet. A bucket that a validated seqlock read finds without an
+// entry in rng is skipped without entering its write section, so sweeping
+// an empty range costs reads only.
 func (t *HashTable) RemoveRange(table wire.TableID, rng wire.HashRange, onRemove func(ref Ref)) int {
 	first := t.BucketOf(rng.Start)
 	last := t.BucketOf(rng.End)
 	removed := 0
-	for bi := first; bi <= last; bi++ {
+	for bi := first; ; bi++ {
 		st := t.stripeOf(bi)
-		st.beginWrite()
-		for b := &t.buckets[bi]; b != nil; b = b.overflow.Load() {
-			for i := range b.slots {
-				s := &b.slots[i]
-				if s.empty() || !rng.Contains(s.hash.Load()) {
-					continue
+		if seq := st.seq.Load(); seq&1 != 0 || t.holdsInRange(bi, rng) || st.seq.Load() != seq {
+			st.beginWrite()
+			for b := &t.buckets[bi]; b != nil; b = b.overflow.Load() {
+				for i := range b.slots {
+					s := &b.slots[i]
+					if s.empty() || !rng.Contains(s.hash.Load()) {
+						continue
+					}
+					ref := s.loadRef()
+					h, err := ref.Header()
+					if err != nil || h.Table != table {
+						continue
+					}
+					if onRemove != nil {
+						onRemove(ref)
+					}
+					s.clear()
+					t.count.Add(-1)
+					removed++
 				}
-				ref := s.loadRef()
-				h, err := ref.Header()
-				if err != nil || h.Table != table {
-					continue
-				}
-				if onRemove != nil {
-					onRemove(ref)
-				}
-				s.clear()
-				t.count.Add(-1)
-				removed++
 			}
+			st.endWrite()
 		}
-		st.endWrite()
 		if bi == last { // avoid wrap when last == max uint64 bucket
-			break
+			return removed
 		}
 	}
-	return removed
+}
+
+// holdsInRange reports whether bucket bi has an entry whose key hash lies
+// in rng. Same consistency contract as lookup.
+func (t *HashTable) holdsInRange(bi uint64, rng wire.HashRange) bool {
+	for b := &t.buckets[bi]; b != nil; b = b.overflow.Load() {
+		for i := range b.slots {
+			s := &b.slots[i]
+			if !s.empty() && rng.Contains(s.hash.Load()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // RemoveTombstoneRefs deletes entries of table within rng whose log entry

@@ -68,6 +68,7 @@ func (s *Segment) hasRoom(n int) bool { return s.Len()+n <= len(s.buf) }
 // offset. Callers must hold the owning log's append lock and have checked
 // hasRoom. The write lands above the published offset; the atomic store of
 // the new offset publishes it to readers.
+//
 //lint:hotpath
 func (s *Segment) appendEntry(h *EntryHeader, key, value []byte) uint32 {
 	off := s.off.Load()

@@ -18,8 +18,12 @@
 # Output (OUT, default bench-pairs/): base.jsonl and change.jsonl, one
 # {"workload","seed","result"} line per run in the format of
 # `benchmark -compare`, one log per run, and compare.txt, the verdicts of
-# `benchmark -compare base.jsonl change.jsonl`. The script fails when a
-# run fails or leaves a process behind, not on a verdict.
+# `benchmark -compare base.jsonl change.jsonl`, and ratios.txt, which pairs
+# the two sides' runs by workload and seed and gives, for each workload and
+# end-to-end metric of BENCHMARK.json, the median change/base ratio of the
+# pairs and how many pairs the change won (ties count for neither side).
+# The script fails when a run fails or leaves a process behind, not on a
+# verdict.
 set -euo pipefail
 
 base=${1:?usage: scripts/bench-pairs.sh <base-ref> [pairs] [workloads]}
@@ -83,3 +87,25 @@ done
 # counts a workload left out of WORKLOADS as missing.
 (cd "$root" && ./.bench_build/rocksteady-benchmark -compare "$out/base.jsonl" "$out/change.jsonl") >"$out/compare.txt" || true
 cat "$out/compare.txt"
+
+# Paired ratios: drift of the machine falls on both runs of a pair, so the
+# per-pair ratio cancels what comparing the two sides' quartiles cannot.
+{
+	printf 'workload\tmetric\tmedian change/base\tpairs better\n'
+	jq -rn --slurpfile base "$out/base.jsonl" --slurpfile change "$out/change.jsonl" \
+		--slurpfile spec "$root/BENCHMARK.json" '
+	def median: sort | if length % 2 == 1 then .[length / 2 | floor] else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+	($base | map({key: "\(.workload) \(.seed)", value: .result.metrics}) | from_entries) as $bm
+	| [ $change[] as $run
+		| $bm["\($run.workload) \($run.seed)"] as $b
+		| select($b != null)
+		| $spec[0].end_to_end[] as $m
+		| $b[$m.name].value as $bv
+		| $run.result.metrics[$m.name].value as $cv
+		| select($bv != null and $cv != null and $bv != 0)
+		| {w: $run.workload, m: $m.name, ratio: ($cv / $bv),
+		   better: (if $m.better == "higher" then $cv > $bv else $cv < $bv end)} ]
+	| group_by([.w, .m])[]
+	| "\(.[0].w)\t\(.[0].m)\t\(map(.ratio) | median * 1000 | round / 1000)\t\(map(select(.better)) | length)/\(length)"'
+} >"$out/ratios.txt"
+cat "$out/ratios.txt"
