@@ -29,14 +29,17 @@ stress-write:
 	$(GO) test -race -count=1 ./internal/dispatch -run 'TestWorkStealing|TestStealExactlyOnce'
 	$(GO) test -race -count=1 ./internal/backup -run 'TestReplicatorGroupCommit'
 
+# vet includes copylocks, which also guards copies of typed atomics
+# (each embeds a noCopy); atomiccheck below relies on it for that half.
 vet:
 	$(GO) vet ./...
 
 # lint runs the repo-specific invariant analyzers: pool pairing, no
 # sleep-polling, no blocking sends under locks, no dropped hot-path errors,
-# context-first RPC signatures, and the lock-free protocol checks (mixed
-# atomic/plain access, seqlock write sections, RCU clone-then-store,
-# hotpath allocations). Exit codes: 0 clean, 1 findings, 2 tool error.
+# context-first RPC signatures, and the lock-free protocol checks (typed
+# atomics only, seqlock write sections, RCU clone-then-store, per-function
+# hotpath allocations). The tool exits 0 clean, 1 on findings and 2 on a
+# tool error; go run reports any non-zero exit as 1.
 lint:
 	$(GO) run ./cmd/rocksteady-lint ./...
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -28,36 +29,33 @@ type wantDiag struct {
 var (
 	loaderOnce sync.Once
 	testLoader *Loader
-	loaderErr  error
 )
 
-// fixtureLoader shares one Loader (and its stdlib export-data cache) across
-// subtests.
-func fixtureLoader(t *testing.T) *Loader {
-	t.Helper()
-	loaderOnce.Do(func() {
-		testLoader, loaderErr = NewLoader(".")
-	})
-	if loaderErr != nil {
-		t.Fatalf("NewLoader: %v", loaderErr)
-	}
+// fixtureLoader shares one Loader (and its package cache) across tests.
+func fixtureLoader() *Loader {
+	loaderOnce.Do(func() { testLoader = NewLoader() })
 	return testLoader
 }
 
-func fixtureFiles(t *testing.T, dir string) []string {
+// loadFixture type-checks the fixture package in dir as importPath, the
+// path that puts it where the analyzer's PathPrefixes apply. go list
+// decides which of the directory's files belong to the package.
+func loadFixture(t *testing.T, dir, importPath string) (*Package, []string) {
 	t.Helper()
-	abs, err := filepath.Abs(dir)
+	l := fixtureLoader()
+	listed, err := l.Load("./" + dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("load fixture: %v", err)
 	}
-	files, err := nonTestGoFiles(abs)
+	var files []string
+	for _, f := range listed[0].Files {
+		files = append(files, l.fset.File(f.Pos()).Name())
+	}
+	pkg, err := l.check(importPath, files)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("load fixture: %v", err)
 	}
-	if len(files) == 0 {
-		t.Fatalf("no fixture files in %s", abs)
-	}
-	return files
+	return pkg, files
 }
 
 func parseWants(t *testing.T, files []string) []wantDiag {
@@ -110,13 +108,7 @@ func TestAnalyzers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
-			l := fixtureLoader(t)
-			dir := filepath.Join("testdata", tc.fixture)
-			files := fixtureFiles(t, dir)
-			pkg, err := l.LoadFiles(tc.importPath, dir, files)
-			if err != nil {
-				t.Fatalf("load fixture: %v", err)
-			}
+			pkg, files := loadFixture(t, "testdata/"+tc.fixture, tc.importPath)
 			diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{tc.analyzer})
 			wants := parseWants(t, files)
 			if len(wants) == 0 {
@@ -208,19 +200,6 @@ func TestDiagnosticFormat(t *testing.T) {
 	}
 }
 
-// TestDiagnosticJSON pins the -json NDJSON shape machine consumers (the CI
-// problem matcher's sibling tooling) parse.
-func TestDiagnosticJSON(t *testing.T) {
-	d := Diagnostic{Analyzer: "rcucheck", Message: `mutation through "tm"`}
-	d.Pos.Filename = "x.go"
-	d.Pos.Line = 7
-	d.Pos.Column = 3
-	want := `{"file":"x.go","line":7,"col":3,"analyzer":"rcucheck","message":"mutation through \"tm\""}`
-	if got := d.JSON(); got != want {
-		t.Errorf("Diagnostic.JSON() = %s, want %s", got, want)
-	}
-}
-
 // TestCleanTree runs every analyzer over the real module and requires zero
 // findings: the tree stays lint-clean, with deliberate exceptions carrying
 // lint:ignore annotations.
@@ -228,20 +207,40 @@ func TestCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
 	}
-	l := fixtureLoader(t)
-	paths, err := l.Expand([]string{"./..."})
+	pkgs, err := fixtureLoader().Load("rocksteady/...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkgs []*Package
-	for _, p := range paths {
-		pkg, err := l.Load(p)
-		if err != nil {
-			t.Fatalf("load %s: %v", p, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
 	for _, d := range RunAnalyzers(pkgs, allAnalyzers) {
 		t.Errorf("finding in tree: %s", d)
+	}
+}
+
+// TestLoaderHonorsBuildConstraints loads a package with a //go:build
+// ignore file that redeclares a name: the file is not part of the build,
+// so it must not be part of the package either.
+func TestLoaderHonorsBuildConstraints(t *testing.T) {
+	pkgs, err := fixtureLoader().Load("./testdata/buildignore")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
+		t.Fatalf("loaded %d package(s), want 1 with 1 file", len(pkgs))
+	}
+	if name := filepath.Base(pkgs[0].Fset.File(pkgs[0].Files[0].Pos()).Name()); name != "fixture.go" {
+		t.Errorf("loaded %s, want fixture.go", name)
+	}
+}
+
+// TestLoadErrorExits2 runs the tool on a package go list reports with an
+// error (build constraints exclude all its files): the run must fail with
+// the tool-error status and name the package, not lint nothing and pass.
+func TestLoadErrorExits2(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"./testdata/listerror"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2; stdout %q, stderr %q", code, stdout.String(), stderr.String())
+	}
+	if pkg := "rocksteady/cmd/rocksteady-lint/testdata/listerror"; !strings.Contains(stderr.String(), pkg) {
+		t.Errorf("stderr %q does not name %s", stderr.String(), pkg)
 	}
 }

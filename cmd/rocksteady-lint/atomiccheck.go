@@ -1,191 +1,37 @@
 package main
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
-	"go/types"
 )
 
 // atomiccheck enforces the first rule of the lock-free read path: a word
 // that is ever accessed through sync/atomic is accessed through sync/atomic
 // everywhere. One plain load racing an atomic store is enough to lose the
-// data-race guarantee the seqlock and RCU protocols rest on, and the mixed
-// pair can live in different packages where no local review sees both.
+// data-race guarantee the seqlock and RCU protocols rest on.
 //
-// Two kinds of violation are reported, using the module-wide fact layer:
-//
-//   - a struct field passed to a sync/atomic function (&x.f style) in one
-//     place and read or written plainly in another; the diagnostic names
-//     both locations.
-//   - a typed atomic (atomic.Int64, atomic.Pointer[T], ...) used as a
-//     plain value — copied, passed, or returned by value — rather than
-//     addressed. Copying an atomic silently forks its state.
-//
-// Method calls on typed atomics, taking a field's address, and the
-// declarations themselves are all fine; everything is resolved through the
-// type checker, so aliasing and embedding do not hide accesses.
+// The tree keeps that rule by construction: shared words are typed atomics
+// (atomic.Int64, atomic.Pointer[T], ...), whose every access is a method
+// call, so no access can be plain. What remains to check is that nothing
+// goes back to sync/atomic's package-level functions (atomic.AddInt64(&x.f,
+// 1) and friends), which act on a plain word that the rest of the code can
+// still read and write plainly. Copying a typed atomic, the other way to
+// fork its state, is go vet's copylocks check: every typed atomic embeds a
+// noCopy, and make check runs vet.
 var atomiccheckAnalyzer = &Analyzer{
-	Name:    "atomiccheck",
-	Doc:     "fields accessed via sync/atomic anywhere must be accessed atomically everywhere",
-	Collect: collectAtomic,
-	Run:     func(pass *Pass) { reportFacts(pass, pass.Facts.AtomicFindings) },
+	Name: "atomiccheck",
+	Doc:  "use sync/atomic's typed atomics, never its package-level functions on plain words",
+	Run:  runAtomiccheck,
 }
 
-// atomicSite is the first observed sync/atomic access of a field.
-type atomicSite struct {
-	pos  token.Pos
-	fset *token.FileSet
-}
-
-func collectAtomic(pkgs []*Package, facts *ModuleFacts) {
-	// Per-package expression claims. atomicUse marks expressions consumed
-	// by sync/atomic itself (old-style &f arguments, typed-atomic method
-	// receivers); addrTaken marks operands of unary & (taking an atomic's
-	// address is how it is legitimately shared).
-	type claims struct {
-		atomicUse map[ast.Expr]bool
-		addrTaken map[ast.Expr]bool
-	}
-	claimed := make(map[*Package]*claims, len(pkgs))
-
-	// Phase 1: record every atomic access module-wide. sites maps a struct
-	// field object to its first old-style sync/atomic access.
-	sites := make(map[types.Object]atomicSite)
-	for _, pkg := range pkgs {
-		c := &claims{atomicUse: make(map[ast.Expr]bool), addrTaken: make(map[ast.Expr]bool)}
-		claimed[pkg] = c
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					// x.Load, x.Store, ... on a typed atomic: the receiver
-					// expression is an atomic use whether or not the method
-					// value is immediately called.
-					if fn, ok := pkg.ObjectOf(n.Sel).(*types.Func); ok {
-						if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-							if _, isAtomic := isAtomicNamed(sig.Recv().Type()); isAtomic {
-								c.atomicUse[n.X] = true
-							}
-						}
-					}
-				case *ast.UnaryExpr:
-					if n.Op == token.AND {
-						c.addrTaken[n.X] = true
-					}
-				case *ast.CallExpr:
-					if !isSyncAtomicPkgFunc(pkg, n) || len(n.Args) == 0 {
-						return true
-					}
-					un, ok := n.Args[0].(*ast.UnaryExpr)
-					if !ok || un.Op != token.AND {
-						return true
-					}
-					c.atomicUse[un.X] = true
-					if obj := fieldObjOf(pkg, un.X); obj != nil {
-						if _, seen := sites[obj]; !seen {
-							sites[obj] = atomicSite{pos: un.X.Pos(), fset: pkg.Fset}
-						}
-					}
+func runAtomiccheck(pass *Pass) {
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if fn := pkgFunc(pass.Pkg, call); fn != nil && fn.Pkg().Path() == "sync/atomic" {
+					pass.Reportf(call.Pos(), "atomic.%s acts on a plain word that other code can still access plainly; declare it as a typed atomic (atomic.Int64, atomic.Pointer[T], ...)", fn.Name())
 				}
-				return true
-			})
-		}
-	}
-
-	// Phase 2: with the module-wide atomic-access summary complete, flag
-	// plain uses. Sel identifiers of selector expressions are handled at
-	// the selector, so they are skipped as bare idents.
-	for _, pkg := range pkgs {
-		c := claimed[pkg]
-		report := func(pos token.Pos, msg string) {
-			facts.AtomicFindings[pkg.Path] = append(facts.AtomicFindings[pkg.Path], FactFinding{Pos: pos, Message: msg})
-		}
-		flagMixed := func(e ast.Expr, obj types.Object) {
-			site, ok := sites[obj]
-			if !ok || c.atomicUse[e] {
-				return
 			}
-			report(e.Pos(), fmt.Sprintf("plain access of field %s, which is accessed via sync/atomic at %s; use sync/atomic for every access",
-				obj.Name(), site.fset.Position(site.pos)))
-		}
-		flagTypedPlain := func(e ast.Expr) {
-			tv, ok := pkg.Info.Types[e]
-			if !ok || !tv.IsValue() {
-				return
-			}
-			name, ok := directAtomicNamed(tv.Type)
-			if !ok || c.atomicUse[e] || c.addrTaken[e] {
-				return
-			}
-			report(e.Pos(), fmt.Sprintf("atomic.%s used as a plain value (copied, passed, or returned by value); address it instead — a copy forks the atomic's state", name))
-		}
-		for _, f := range pkg.Files {
-			skipIdents := make(map[*ast.Ident]bool)
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					skipIdents[n.Sel] = true
-					if obj := pkg.ObjectOf(n.Sel); obj != nil {
-						flagMixed(n, obj)
-					}
-					flagTypedPlain(n)
-				case *ast.Ident:
-					if skipIdents[n] {
-						return true
-					}
-					if obj := pkg.Info.Uses[n]; obj != nil {
-						flagMixed(n, obj)
-					}
-					flagTypedPlain(n)
-				case *ast.IndexExpr, *ast.StarExpr, *ast.CallExpr:
-					flagTypedPlain(n.(ast.Expr))
-				}
-				return true
-			})
-		}
+			return true
+		})
 	}
-}
-
-// directAtomicNamed is isAtomicNamed without pointer unwrapping: a
-// *atomic.Int64 value is the normal way to share an atomic and is fine;
-// only a value of the atomic type itself indicates a copy.
-func directAtomicNamed(t types.Type) (string, bool) {
-	if _, isPtr := t.(*types.Pointer); isPtr {
-		return "", false
-	}
-	return isAtomicNamed(t)
-}
-
-// isSyncAtomicPkgFunc reports whether call invokes a package-level function
-// of sync/atomic (the old-style atomic.LoadUint64(&x) API).
-func isSyncAtomicPkgFunc(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pkg.ObjectOf(sel.Sel).(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
-// fieldObjOf resolves e to a struct-field object, or nil. Only fields are
-// summarized module-wide: they are the shared state the protocol guards.
-func fieldObjOf(pkg *Package, e ast.Expr) types.Object {
-	var obj types.Object
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		obj = pkg.ObjectOf(x.Sel)
-	case *ast.Ident:
-		obj = pkg.ObjectOf(x)
-	default:
-		return nil
-	}
-	if v, ok := obj.(*types.Var); ok && v.IsField() {
-		return v
-	}
-	return nil
 }

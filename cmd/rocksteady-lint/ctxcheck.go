@@ -44,7 +44,7 @@ func runCtxcheck(pass *Pass) {
 					return true
 				}
 				for _, name := range []string{"Background", "TODO"} {
-					if isPkgFunc(pass, n, "context", name) {
+					if isPkgFunc(pass.Pkg, n, "context", name) {
 						pass.Reportf(n.Pos(), "context.%s detaches from the caller's deadline: thread the incoming ctx (or annotate a deliberate root)", name)
 					}
 				}
@@ -74,7 +74,7 @@ func checkCtxFirst(pass *Pass, ft *ast.FuncType) {
 }
 
 func isContextType(pass *Pass, e ast.Expr) bool {
-	t := pass.TypeOf(e)
+	t := pass.Pkg.TypeOf(e)
 	if t == nil {
 		return false
 	}

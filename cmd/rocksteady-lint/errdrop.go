@@ -27,7 +27,7 @@ var errdropAnalyzer = &Analyzer{
 func runErrdrop(pass *Pass) {
 	errType := types.Universe.Lookup("error").Type()
 	returnsError := func(call *ast.CallExpr) bool {
-		t := pass.TypeOf(call)
+		t := pass.Pkg.TypeOf(call)
 		if t == nil {
 			return false
 		}

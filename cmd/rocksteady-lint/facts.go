@@ -7,21 +7,16 @@ import (
 )
 
 // ModuleFacts is the cross-function fact layer. Analyzers that need
-// module-wide knowledge (a field accessed atomically in one package and
-// plainly in another, a publisher function defined far from its callers)
-// deposit summaries here during the sequential Collect phase; the parallel
-// per-package Run phase then consumes them read-only.
+// module-wide knowledge (a helper whose write-section obligation reaches
+// its callers, a publisher function defined far from its callers)
+// deposit summaries here during the sequential Collect phase; the
+// parallel per-package Run phase then consumes them read-only.
 //
 // Facts are keyed by types.Object. The loader typechecks the whole module
 // through one shared cache, so the *types.Var for, say,
 // server.Server.tablets is the same object no matter which package's AST
 // mentions it — that identity is what makes cross-package summaries sound.
 type ModuleFacts struct {
-	// AtomicFindings holds atomiccheck's diagnostics, computed module-wide
-	// during Collect (mixed atomic/plain access can span packages), keyed
-	// by the import path of the package that reports them.
-	AtomicFindings map[string][]FactFinding
-
 	// SeqFindings holds seqcheck's cross-function diagnostics (guarded
 	// mutations reached outside any write section, through the call
 	// graph), keyed by import path.
@@ -43,9 +38,8 @@ type FactFinding struct {
 
 func newModuleFacts() *ModuleFacts {
 	return &ModuleFacts{
-		AtomicFindings: make(map[string][]FactFinding),
-		SeqFindings:    make(map[string][]FactFinding),
-		RCUSources:     make(map[types.Object]bool),
+		SeqFindings: make(map[string][]FactFinding),
+		RCUSources:  make(map[types.Object]bool),
 	}
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -14,10 +13,10 @@ import (
 
 // Analyzer is one invariant checker. Most analyzers are purely
 // intra-procedural and run independently per package; analyzers that need
-// module-wide knowledge (atomiccheck's per-field access summaries,
-// seqcheck's write-section obligations, rcucheck's publisher functions)
-// additionally implement Collect, which runs over every package before any
-// per-package Run starts and deposits cross-function facts in ModuleFacts.
+// module-wide knowledge (seqcheck's write-section obligations, rcucheck's
+// publisher functions) additionally implement Collect, which runs over
+// every package before any per-package Run starts and deposits
+// cross-function facts in ModuleFacts.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -65,13 +64,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // TypeOf returns the static type of e, or nil.
-func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.TypeOf(e) }
-
-// ObjectOf resolves an identifier to its object, or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.ObjectOf(id) }
-
-// TypeOf returns the static type of e, or nil. The Package-level form
-// exists so the Collect (fact) phase can resolve types without a Pass.
 func (p *Package) TypeOf(e ast.Expr) types.Type {
 	if tv, ok := p.Info.Types[e]; ok {
 		return tv.Type
@@ -96,23 +88,6 @@ type Diagnostic struct {
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-}
-
-// JSON renders the diagnostic as one JSON object (NDJSON-style output for
-// -json): {"file":..., "line":..., "col":..., "analyzer":..., "message":...}.
-func (d Diagnostic) JSON() string {
-	out, err := json.Marshal(struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
-	if err != nil {
-		// A flat struct of strings and ints cannot fail to marshal.
-		panic(err)
-	}
-	return string(out)
 }
 
 // ignoreKey identifies one suppressed (file, line, analyzer) site.
@@ -187,9 +162,9 @@ func collectIgnores(pkg *Package, report func(Diagnostic)) *ignoreSet {
 
 // auditIgnores reports directives that suppressed nothing. A directive
 // naming an analyzer that is registered but not enabled for this run
-// (e.g. under -disable, or in single-analyzer fixture tests) is skipped:
-// we can't tell whether it would have matched. A directive naming an
-// analyzer that doesn't exist at all is always an error.
+// (in single-analyzer fixture tests) is skipped: we can't tell whether it
+// would have matched. A directive naming an analyzer that doesn't exist
+// at all is always an error.
 func auditIgnores(set *ignoreSet, enabled []*Analyzer, report func(Diagnostic)) {
 	enabledNames := make(map[string]bool, len(enabled))
 	for _, a := range enabled {
@@ -302,32 +277,36 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// isPkgFunc reports whether call is a call of pkgPath.name (package-level
-// function), resolved through the type checker so aliases and renamed
-// imports are handled.
-func isPkgFunc(p *Pass, call *ast.CallExpr, pkgPath, name string) bool {
-	return isPkgFuncIn(p.Pkg, call, pkgPath, name)
+// calleeObj resolves a call's target function object (methods and
+// package functions), or nil for builtins and indirect calls.
+func calleeObj(pkg *Package, call *ast.CallExpr) types.Object {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		if fn, ok := pkg.ObjectOf(fun).(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if fn, ok := pkg.ObjectOf(fun.Sel).(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
 }
 
-// isPkgFuncIn is the Package-level form of isPkgFunc, usable from the
-// Collect phase where no Pass exists.
-func isPkgFuncIn(p *Package, call *ast.CallExpr, pkgPath, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		// Same-package call: plain identifier.
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		obj := p.ObjectOf(id)
-		return obj != nil && obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
+// pkgFunc resolves call to the package-level function it calls, or nil
+// for methods, builtins, conversions and calls of function values. It
+// goes through the type checker, so renamed imports are handled.
+func pkgFunc(pkg *Package, call *ast.CallExpr) *types.Func {
+	fn, ok := calleeObj(pkg, call).(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return nil
 	}
-	obj := p.ObjectOf(sel.Sel)
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	if _, isField := obj.(*types.Var); isField {
-		return false
-	}
-	return obj.Name() == name && obj.Pkg().Path() == pkgPath
+	return fn
+}
+
+// isPkgFunc reports whether call calls the package-level function
+// pkgPath.name.
+func isPkgFunc(pkg *Package, call *ast.CallExpr, pkgPath, name string) bool {
+	fn := pkgFunc(pkg, call)
+	return fn != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
 }

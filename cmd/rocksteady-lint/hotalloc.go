@@ -98,7 +98,7 @@ func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
 			pass.Reportf(n.Pos(), "closure in hotpath function %s allocates; hoist it or pass state explicitly", fd.Name.Name)
 			return false
 		case *ast.CompositeLit:
-			t := pass.TypeOf(n)
+			t := pass.Pkg.TypeOf(n)
 			if t == nil {
 				return true
 			}
@@ -138,7 +138,7 @@ func checkHotCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, allowedAppen
 
 	// Conversions: string([]byte) and []byte(string) copy.
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		dst, src := tv.Type, pass.TypeOf(call.Args[0])
+		dst, src := tv.Type, pass.Pkg.TypeOf(call.Args[0])
 		if src != nil && isStringBytesPair(dst, src) {
 			pass.Reportf(call.Pos(), "string/[]byte conversion copies in hotpath function %s", fd.Name.Name)
 		}
@@ -147,7 +147,7 @@ func checkHotCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, allowedAppen
 
 	// Interface boxing: concrete non-pointer argument to an interface
 	// parameter escapes.
-	sig, ok := pass.TypeOf(call.Fun).(*types.Signature)
+	sig, ok := pass.Pkg.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return
 	}
@@ -168,7 +168,7 @@ func checkHotCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, allowedAppen
 		if !types.IsInterface(pt) {
 			continue
 		}
-		at := pass.TypeOf(arg)
+		at := pass.Pkg.TypeOf(arg)
 		if at == nil || types.IsInterface(at) || boxesForFree(at) {
 			continue
 		}

@@ -1,226 +1,124 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
 // Package is one loaded, type-checked package: the unit analyzers run on.
 type Package struct {
 	Path  string // import path ("rocksteady/internal/wire")
-	Dir   string // absolute directory
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
 }
 
-// Loader parses and type-checks module packages from source. It is
-// deliberately stdlib-only: module packages resolve against the module root
-// (read from go.mod), everything else falls back to the compiler's
-// source importer, so the tool builds and runs offline with no
-// golang.org/x/tools dependency.
+// Loader resolves packages the way the go command does, with one
+// `go list -deps -export -json` call per Load: patterns, build
+// constraints and the module layout are the go command's business. Module
+// packages are type-checked from source, in the dependency order go list
+// gives, because the analyzers need their syntax; everything else (the
+// standard library) is read from the export data go list points at.
+//
+// A Loader is one cache: each package is checked once, so a types.Object
+// stands for the same declaration whichever package mentions it. The
+// module-wide facts are keyed by that identity.
 type Loader struct {
-	ModulePath string // module path from go.mod
-	ModuleRoot string // directory containing go.mod
-
-	fset     *token.FileSet
-	fallback types.Importer
-	loaded   map[string]*Package
-	checking map[string]bool // import-cycle guard
+	fset    *token.FileSet
+	pkgs    map[string]*Package // module packages checked so far
+	exports map[string]string   // import path -> export data file
+	gc      types.Importer
 }
 
-// NewLoader locates the enclosing module starting at dir.
-func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("no go.mod found above %s", abs)
-		}
-		root = parent
-	}
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
+// NewLoader returns a Loader with an empty cache.
+func NewLoader() *Loader {
 	l := &Loader{
-		ModulePath: modPath,
-		ModuleRoot: root,
-		fset:       fset,
-		loaded:     make(map[string]*Package),
-		checking:   make(map[string]bool),
+		fset:    token.NewFileSet(),
+		pkgs:    make(map[string]*Package),
+		exports: make(map[string]string),
 	}
-	l.fallback = newStdImporter(root, fset)
-	return l, nil
-}
-
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+	l.gc = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := l.exports[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
 		}
-	}
-	return "", fmt.Errorf("%s: no module directive", gomod)
-}
-
-// Fset returns the shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// Expand resolves package patterns ("./...", "./internal/wire", an import
-// path) into the import paths of matching module packages, in stable order.
-func (l *Loader) Expand(patterns []string) ([]string, error) {
-	seen := make(map[string]bool)
-	var out []string
-	add := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			dirs, err := l.moduleDirs()
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range dirs {
-				add(l.dirImportPath(d))
-			}
-		case strings.HasPrefix(pat, "./"):
-			d := filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(pat, "./")))
-			if strings.HasSuffix(pat, "/...") {
-				d = filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimSuffix(strings.TrimPrefix(pat, "./"), "/...")))
-				sub, err := packageDirsUnder(d)
-				if err != nil {
-					return nil, err
-				}
-				for _, s := range sub {
-					add(l.dirImportPath(s))
-				}
-				continue
-			}
-			add(l.dirImportPath(d))
-		default:
-			add(pat)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// moduleDirs lists every directory under the module root that holds
-// non-test Go files, skipping testdata, hidden dirs, and vendored trees.
-func (l *Loader) moduleDirs() ([]string, error) {
-	return packageDirsUnder(l.ModuleRoot)
-}
-
-func packageDirsUnder(root string) ([]string, error) {
-	var dirs []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		files, err := nonTestGoFiles(path)
-		if err != nil {
-			return err
-		}
-		if len(files) > 0 {
-			dirs = append(dirs, path)
-		}
-		return nil
+		return os.Open(file)
 	})
-	return dirs, err
+	return l
 }
 
-func nonTestGoFiles(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+// listedPackage is the part of a `go list -json` record the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+	Error      *struct{ Err string }
+}
+
+// Load lists patterns and their dependencies, type-checks every module
+// package among them, and returns the packages the patterns name. A
+// package go list reports with an error fails the load, naming it.
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
+	args := append([]string{"list", "-e", "-deps", "-export",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,Error", "--"}, patterns...)
+	var stderr bytes.Buffer
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("go list: %v: %s", err, bytes.TrimSpace(stderr.Bytes()))
 	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+	var roots []*Package
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("go list output: %v", err)
+		}
+		if lp.Error != nil {
+			return nil, fmt.Errorf("%s: %s", lp.ImportPath, strings.TrimSpace(lp.Error.Err))
+		}
+		if lp.Standard {
+			if !lp.DepOnly {
+				return nil, fmt.Errorf("%s: not a module package", lp.ImportPath)
+			}
+			l.exports[lp.ImportPath] = lp.Export
 			continue
 		}
-		files = append(files, filepath.Join(dir, name))
+		pkg := l.pkgs[lp.ImportPath]
+		if pkg == nil {
+			files := make([]string, len(lp.GoFiles))
+			for i, f := range lp.GoFiles {
+				files[i] = filepath.Join(lp.Dir, f)
+			}
+			if pkg, err = l.check(lp.ImportPath, files); err != nil {
+				return nil, err
+			}
+		}
+		if !lp.DepOnly {
+			roots = append(roots, pkg)
+		}
 	}
-	sort.Strings(files)
-	return files, nil
+	return roots, nil
 }
 
-func (l *Loader) dirImportPath(dir string) string {
-	rel, err := filepath.Rel(l.ModuleRoot, dir)
-	if err != nil || rel == "." {
-		return l.ModulePath
-	}
-	return l.ModulePath + "/" + filepath.ToSlash(rel)
-}
-
-// Load type-checks the package with the given import path (module packages
-// only; stdlib resolves through the fallback importer during checking).
-func (l *Loader) Load(path string) (*Package, error) {
-	if p, ok := l.loaded[path]; ok {
-		return p, nil
-	}
-	if !l.isModulePackage(path) {
-		return nil, fmt.Errorf("not a module package: %s", path)
-	}
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModulePath), "/")
-	dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(rel))
-	files, err := nonTestGoFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	return l.LoadFiles(path, dir, files)
-}
-
-// LoadFiles type-checks an explicit file list as one package. The analyzer
-// tests use this to load fixture files from testdata (which the go tool,
-// and moduleDirs above, deliberately skip).
-func (l *Loader) LoadFiles(path, dir string, files []string) (*Package, error) {
-	if p, ok := l.loaded[path]; ok {
-		return p, nil
-	}
-	if l.checking[path] {
-		return nil, fmt.Errorf("import cycle through %s", path)
-	}
-	l.checking[path] = true
-	defer delete(l.checking, path)
-
+// check parses files and type-checks them as the package importPath. The
+// packages they import must already be in the cache or have export data.
+func (l *Loader) check(importPath string, files []string) (*Package, error) {
 	var asts []*ast.File
 	for _, f := range files {
 		af, err := parser.ParseFile(l.fset, f, nil, parser.ParseComments)
@@ -240,28 +138,20 @@ func (l *Loader) LoadFiles(path, dir string, files []string) (*Package, error) {
 		Importer: l,
 		Error:    func(err error) {}, // collect only the first hard error below
 	}
-	tpkg, err := conf.Check(path, l.fset, asts, info)
+	tpkg, err := conf.Check(importPath, l.fset, asts, info)
 	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", path, err)
+		return nil, fmt.Errorf("typecheck %s: %w", importPath, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: asts, Types: tpkg, Info: info}
-	l.loaded[path] = p
+	p := &Package{Path: importPath, Fset: l.fset, Files: asts, Types: tpkg, Info: info}
+	l.pkgs[importPath] = p
 	return p, nil
 }
 
-func (l *Loader) isModulePackage(path string) bool {
-	return path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/")
-}
-
-// Import implements types.Importer: module packages load from source here,
-// everything else (stdlib) goes to the compiler's source importer.
+// Import implements types.Importer for check: module packages come from
+// the cache, everything else from export data.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if l.isModulePackage(path) {
-		p, err := l.Load(path)
-		if err != nil {
-			return nil, err
-		}
+	if p, ok := l.pkgs[path]; ok {
 		return p.Types, nil
 	}
-	return l.fallback.Import(path)
+	return l.gc.Import(path)
 }

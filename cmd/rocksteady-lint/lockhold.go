@@ -2,7 +2,6 @@ package main
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -30,22 +29,33 @@ var lockholdAnalyzer = &Analyzer{
 }
 
 func runLockhold(pass *Pass) {
-	lc := &lockChecker{pass: pass}
+	lc := &lockChecker{pass: pass, commSends: make(map[*ast.SendStmt]bool)}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					lc.block(n.Body.List, make(lockSet))
-				}
-			case *ast.FuncLit:
-				// A literal runs on its own goroutine or call frame: it
-				// holds no locks on entry.
-				lc.block(n.Body.List, make(lockSet))
+			if sel, ok := n.(*ast.SelectStmt); ok {
+				lc.noteSelect(sel)
 			}
 			return true
 		})
 	}
+	w := &pathWalker[lockSet]{
+		expr: lc.expr,
+		send: lc.send,
+		// defer mu.Unlock() means the lock is held for the rest of the
+		// function: deliberately do NOT clear it. Everything else inside
+		// a defer runs at exit; scan it with the current held set.
+		deferStmt: func(s *ast.DeferStmt, held lockSet) {
+			if obj, op := lc.mutexOp(s.Call); obj != nil && (op == "Unlock" || op == "RUnlock") {
+				return
+			}
+			lc.expr(s.Call, held)
+		},
+		// A spawned goroutine does not inherit the holder's locks.
+		goStmt: func(s *ast.GoStmt, _ lockSet) { lc.expr(s.Call, make(lockSet)) },
+	}
+	// A function literal runs on its own goroutine or call frame: it holds
+	// no locks on entry, and the enclosing walk does not look inside it.
+	forEachFunc(pass.Pkg.Files, func(body *ast.BlockStmt) { w.walkFunc(body, make(lockSet)) })
 }
 
 // lockSet maps the object of a mutex-typed variable or field to "held on
@@ -82,144 +92,46 @@ func (ls lockSet) anyHeld() (types.Object, bool) {
 
 type lockChecker struct {
 	pass *Pass
+	// commSends maps each send that is a select clause's communication to
+	// whether that select has a default case (and so never blocks).
+	commSends map[*ast.SendStmt]bool
 }
 
-func (lc *lockChecker) block(stmts []ast.Stmt, held lockSet) (lockSet, bool) {
-	for _, s := range stmts {
-		var terminated bool
-		held, terminated = lc.stmt(s, held)
-		if terminated {
-			return held, true
+// noteSelect records the sends a select makes in its clauses.
+func (lc *lockChecker) noteSelect(sel *ast.SelectStmt) {
+	hasDefault := false
+	for _, clause := range sel.Body.List {
+		if c, ok := clause.(*ast.CommClause); ok && c.Comm == nil {
+			hasDefault = true
 		}
 	}
-	return held, false
+	for _, clause := range sel.Body.List {
+		if send, ok := clause.(*ast.CommClause).Comm.(*ast.SendStmt); ok {
+			lc.commSends[send] = hasDefault
+		}
+	}
 }
 
-func (lc *lockChecker) stmt(s ast.Stmt, held lockSet) (lockSet, bool) {
-	switch s := s.(type) {
-	case nil:
-		return held, false
-	case *ast.ExprStmt:
-		lc.expr(s.X, held)
-		return held, false
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			lc.expr(r, held)
+// send flags a channel send that can block while a lock is held: a plain
+// send statement, or a select's send clause when the select has no
+// default.
+func (lc *lockChecker) send(s *ast.SendStmt, held lockSet) {
+	lc.expr(s.Chan, held)
+	lc.expr(s.Value, held)
+	what := "channel send"
+	if nonBlocking, inSelect := lc.commSends[s]; inSelect {
+		if nonBlocking {
+			return
 		}
-		return held, false
-	case *ast.SendStmt:
-		lc.flagSend(s.Pos(), held, "channel send")
-		return held, false
-	case *ast.IfStmt:
-		held, _ = lc.stmt(s.Init, held)
-		lc.expr(s.Cond, held)
-		thenHeld, thenTerm := lc.block(s.Body.List, held.clone())
-		elseHeld, elseTerm := held, false
-		if s.Else != nil {
-			elseHeld, elseTerm = lc.stmt(s.Else, held.clone())
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return held, true
-		case thenTerm:
-			return elseHeld, false
-		case elseTerm:
-			return thenHeld, false
-		default:
-			return thenHeld.merge(elseHeld), false
-		}
-	case *ast.BlockStmt:
-		return lc.block(s.List, held)
-	case *ast.ForStmt:
-		held, _ = lc.stmt(s.Init, held)
-		lc.expr(s.Cond, held)
-		bodyHeld, bodyTerm := lc.block(s.Body.List, held.clone())
-		if !bodyTerm {
-			bodyHeld, _ = lc.stmt(s.Post, bodyHeld)
-			held = held.merge(bodyHeld)
-		}
-		return held, false
-	case *ast.RangeStmt:
-		lc.expr(s.X, held)
-		bodyHeld, bodyTerm := lc.block(s.Body.List, held.clone())
-		if !bodyTerm {
-			held = held.merge(bodyHeld)
-		}
-		return held, false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var body *ast.BlockStmt
-		if sw, ok := s.(*ast.SwitchStmt); ok {
-			held, _ = lc.stmt(sw.Init, held)
-			lc.expr(sw.Tag, held)
-			body = sw.Body
-		} else {
-			ts := s.(*ast.TypeSwitchStmt)
-			held, _ = lc.stmt(ts.Init, held)
-			body = ts.Body
-		}
-		merged := held
-		for _, clause := range body.List {
-			if c, ok := clause.(*ast.CaseClause); ok {
-				branch, term := lc.block(c.Body, held.clone())
-				if !term {
-					merged = merged.merge(branch)
-				}
-			}
-		}
-		return merged, false
-	case *ast.SelectStmt:
-		// A select with a default case never blocks; without one, a send
-		// clause is a blocking send.
-		hasDefault := hasDefaultCommClause(s.Body)
-		merged := held
-		for _, clause := range s.Body.List {
-			c, ok := clause.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			if send, isSend := c.Comm.(*ast.SendStmt); isSend && !hasDefault {
-				lc.flagSend(send.Pos(), held, "blocking select send")
-			}
-			branch, term := lc.block(c.Body, held.clone())
-			if !term {
-				merged = merged.merge(branch)
-			}
-		}
-		return merged, false
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			lc.expr(r, held)
-		}
-		return held, true
-	case *ast.BranchStmt:
-		return held, true
-	case *ast.DeferStmt:
-		// defer mu.Unlock() means the lock is held for the rest of the
-		// function: deliberately do NOT clear it. Everything else inside
-		// a defer runs at exit; scan it with the current held set.
-		if obj, op := lc.mutexOp(s.Call); obj != nil && (op == "Unlock" || op == "RUnlock") {
-			return held, false
-		}
-		lc.expr(s.Call, held)
-		return held, false
-	case *ast.GoStmt:
-		// A spawned goroutine does not inherit the holder's locks.
-		lc.exprInner(s.Call, make(lockSet))
-		return held, false
-	case *ast.LabeledStmt:
-		return lc.stmt(s.Stmt, held)
-	case *ast.DeclStmt, *ast.EmptyStmt, *ast.IncDecStmt:
-		return held, false
-	default:
-		return held, false
+		what = "blocking select send"
+	}
+	if obj, any := held.anyHeld(); any {
+		lc.pass.Reportf(s.Pos(), "%s while %s is held: if the channel is full this blocks with the lock taken; release it first", what, obj.Name())
 	}
 }
 
 // expr scans an expression for lock transitions and blocking calls.
 func (lc *lockChecker) expr(e ast.Expr, held lockSet) {
-	if e == nil {
-		return
-	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
 			// Literal bodies are analyzed separately with an empty lock
@@ -248,26 +160,6 @@ func (lc *lockChecker) expr(e ast.Expr, held lockSet) {
 	})
 }
 
-// exprInner is expr with a fresh lock set (used for goroutine bodies).
-func (lc *lockChecker) exprInner(e ast.Expr, held lockSet) { lc.expr(e, held) }
-
-func (lc *lockChecker) flagSend(pos token.Pos, held lockSet, what string) {
-	if obj, any := held.anyHeld(); any {
-		lc.pass.Reportf(pos, "%s while %s is held: if the channel is full this blocks with the lock taken; release it first", what, obj.Name())
-	}
-}
-
-// hasDefaultCommClause reports whether a select body has a default case
-// (select clauses are CommClauses, unlike switch's CaseClauses).
-func hasDefaultCommClause(body *ast.BlockStmt) bool {
-	for _, clause := range body.List {
-		if c, ok := clause.(*ast.CommClause); ok && c.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
 // mutexOp recognizes x.Lock()/x.Unlock()/x.RLock()/x.RUnlock() where x is
 // a sync.Mutex or sync.RWMutex (possibly behind a pointer) and returns the
 // object identifying x plus the operation name.
@@ -282,16 +174,16 @@ func (lc *lockChecker) mutexOp(call *ast.CallExpr) (types.Object, string) {
 	default:
 		return nil, ""
 	}
-	t := lc.pass.TypeOf(sel.X)
+	t := lc.pass.Pkg.TypeOf(sel.X)
 	if t == nil || !isSyncMutex(t) {
 		return nil, ""
 	}
 	// Identify the mutex by the last selector component (field or var).
 	switch x := sel.X.(type) {
 	case *ast.Ident:
-		return lc.pass.ObjectOf(x), op
+		return lc.pass.Pkg.ObjectOf(x), op
 	case *ast.SelectorExpr:
-		return lc.pass.ObjectOf(x.Sel), op
+		return lc.pass.Pkg.ObjectOf(x.Sel), op
 	default:
 		return nil, ""
 	}
@@ -320,7 +212,7 @@ func (lc *lockChecker) isTransportSend(call *ast.CallExpr) bool {
 	if !ok || sel.Sel.Name != "Send" {
 		return false
 	}
-	obj := lc.pass.ObjectOf(sel.Sel)
+	obj := lc.pass.Pkg.ObjectOf(sel.Sel)
 	fn, ok := obj.(*types.Func)
 	if !ok {
 		return false

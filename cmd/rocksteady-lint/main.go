@@ -4,33 +4,31 @@
 // once on every path, no sleep-polling in the dispatch/migration layers,
 // no blocking sends under a mutex, no silently dropped errors on the hot
 // path, context-first RPC signatures — and, for the lock-free read/write
-// paths, no mixed atomic/plain access, seqlock mutations only inside
-// stripe write sections, no mutation of RCU-published memory, and no
-// obvious allocations in //lint:hotpath functions.
+// paths, typed atomics only, seqlock mutations only inside stripe write
+// sections, no mutation of RCU-published memory, and no obvious
+// allocations in //lint:hotpath functions.
 //
 // Usage:
 //
-//	rocksteady-lint [-disable=name,name] [-json] [-list] [packages]
+//	go run ./cmd/rocksteady-lint [-list] [packages]
 //
-// Packages default to ./... relative to the enclosing module. Exit status
-// is 0 when clean, 1 when diagnostics were reported, 2 on usage or load
+// Packages are go list patterns and default to ./... Exit status is 0
+// when clean, 1 when diagnostics were reported, 2 on usage or load
 // errors. Individual findings are suppressed with an adjacent
 // //lint:ignore <analyzer> <reason> comment; a directive that stops
 // matching any diagnostic is itself reported, so suppressions cannot go
-// stale. -json emits one JSON object per diagnostic (file, line, col,
-// analyzer, message) for machine consumers.
+// stale.
 //
-// The tool is stdlib-only (go/parser + go/types + go/ast): it loads
-// module packages from source and resolves the standard library through
-// compiled export data (falling back to source), so it runs offline with
-// no dependency beyond the Go toolchain itself.
+// The tool is stdlib-only (go/parser + go/types + go/ast) and needs the
+// go command it runs under: one `go list` call resolves the packages, and
+// the module's packages are type-checked from source.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 )
 
 var allAnalyzers = []*Analyzer{
@@ -46,13 +44,12 @@ var allAnalyzers = []*Analyzer{
 }
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rocksteady-lint", flag.ContinueOnError)
-	disable := fs.String("disable", "", "comma-separated analyzers to skip")
-	jsonOut := fs.Bool("json", false, "emit one JSON object per diagnostic instead of text")
+	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print the available analyzers and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: rocksteady-lint [flags] [packages]\n")
@@ -63,67 +60,27 @@ func run(args []string) int {
 	}
 	if *list {
 		for _, a := range allAnalyzers {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-
-	disabled := make(map[string]bool)
-	for _, name := range strings.Split(*disable, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			disabled[name] = true
-		}
-	}
-	known := make(map[string]bool)
-	var analyzers []*Analyzer
-	for _, a := range allAnalyzers {
-		known[a.Name] = true
-		if !disabled[a.Name] {
-			analyzers = append(analyzers, a)
-		}
-	}
-	for name := range disabled {
-		if !known[name] {
-			fmt.Fprintf(os.Stderr, "rocksteady-lint: unknown analyzer %q in -disable\n", name)
-			return 2
-		}
 	}
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	loader, err := NewLoader(".")
+	pkgs, err := NewLoader().Load(patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rocksteady-lint: %v\n", err)
+		fmt.Fprintf(stderr, "rocksteady-lint: %v\n", err)
 		return 2
 	}
-	paths, err := loader.Expand(patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rocksteady-lint: %v\n", err)
-		return 2
-	}
-	var pkgs []*Package
-	for _, p := range paths {
-		pkg, err := loader.Load(p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rocksteady-lint: %v\n", err)
-			return 2
-		}
-		pkgs = append(pkgs, pkg)
-	}
 
-	diags := RunAnalyzers(pkgs, analyzers)
+	diags := RunAnalyzers(pkgs, allAnalyzers)
 	for _, d := range diags {
-		if *jsonOut {
-			fmt.Println(d.JSON())
-		} else {
-			fmt.Println(d.String())
-		}
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "rocksteady-lint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
+		fmt.Fprintf(stderr, "rocksteady-lint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1
 	}
 	return 0

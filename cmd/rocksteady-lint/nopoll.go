@@ -34,10 +34,10 @@ func runNopoll(pass *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if isPkgFunc(pass, n, "time", "Sleep") {
+				if isPkgFunc(pass.Pkg, n, "time", "Sleep") {
 					pass.Reportf(n.Pos(), "time.Sleep in a hot-path package: use event-driven waiting (channels, sync.Cond) instead of polling")
 				}
-				if isPkgFunc(pass, n, "runtime", "Gosched") {
+				if isPkgFunc(pass.Pkg, n, "runtime", "Gosched") {
 					pass.Reportf(n.Pos(), "runtime.Gosched in a hot-path package: yielding spin loops poll the scheduler; block on an event instead")
 				}
 			case *ast.ForStmt:

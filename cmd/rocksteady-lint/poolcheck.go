@@ -39,11 +39,10 @@ const (
 
 // poolVar is the per-variable tracking record.
 type poolVar struct {
-	status   poolStatus
-	get      string    // acquiring function name (GetBuffer / GetRecordSlice)
-	getPos   token.Pos // acquisition site, where leaks are reported
-	declPos  token.Pos // position of the acquiring statement (scope checks)
-	reported bool      // one leak diagnostic per acquisition
+	status  poolStatus
+	get     string    // acquiring function name (GetBuffer / GetRecordSlice)
+	getPos  token.Pos // acquisition site, where leaks are reported
+	declPos token.Pos // position of the acquiring statement (scope checks)
 }
 
 type poolState map[types.Object]*poolVar
@@ -60,63 +59,77 @@ func (st poolState) clone() poolState {
 // merge unions the statuses of two non-terminated paths. A variable only
 // one path tracks (the other released-and-rescoped or escaped it) becomes
 // untracked: poolcheck reports only must-leaks along fully tracked paths.
-func (st poolState) merge(other poolState, vars map[types.Object]*poolVar) poolState {
+func (st poolState) merge(other poolState) poolState {
 	out := make(poolState)
 	for k, a := range st {
-		b, ok := other[k]
-		if !ok {
-			continue
+		if b, ok := other[k]; ok {
+			m := *a
+			m.status = a.status | b.status
+			out[k] = &m
 		}
-		m := *a
-		m.status = a.status | b.status
-		m.reported = a.reported || b.reported
-		// Keep the merged record visible to later reports through the
-		// shared registry so reported-flags propagate.
-		out[k] = &m
-		vars[k].reported = m.reported
 	}
 	return out
 }
 
 func runPoolcheck(pass *Pass) {
-	analyze := func(body *ast.BlockStmt) {
-		pc := &poolChecker{pass: pass, vars: make(map[types.Object]*poolVar)}
-		st, terminated := pc.block(body.List, make(poolState))
-		if !terminated {
-			pc.checkLeaks(st, body.Rbrace)
-		}
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if es, ok := n.(*ast.ExprStmt); ok {
+				if call, ok := es.X.(*ast.CallExpr); ok {
+					if get, isGet := getCall(pass.Pkg, call); isGet {
+						pass.Reportf(call.Pos(), "result of wire.%s is discarded: the pooled value leaks", get)
+					}
+				}
+			}
+			return true
+		})
 	}
 	// Function literals are analyzed as functions in their own right (a
 	// worker closure that acquires a buffer must release it too); the
 	// enclosing function's walk stops tracking anything a literal
 	// captures, so nothing is double-reported.
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					analyze(n.Body)
+	forEachFunc(pass.Pkg.Files, func(body *ast.BlockStmt) {
+		pc := &poolChecker{pass: pass, reported: make(map[token.Pos]bool)}
+		w := &pathWalker[poolState]{
+			expr:   pc.expr,
+			assign: pc.assign,
+			send: func(s *ast.SendStmt, st poolState) {
+				pc.expr(s.Chan, st)
+				pc.escapeOrUse(s.Value, st)
+			},
+			deferStmt: pc.deferStmt,
+			exit: func(_ token.Pos, results []ast.Expr, st poolState) {
+				for _, r := range results {
+					pc.escapeOrUse(r, st)
 				}
-			case *ast.FuncLit:
-				analyze(n.Body)
-			}
-			return true
-		})
-	}
+				pc.checkLeaks(st)
+			},
+			scopeEnd: pc.scopeEnd,
+		}
+		w.walkFunc(body, make(poolState))
+	})
 }
 
 type poolChecker struct {
 	pass *Pass
-	// vars registers every acquisition in the function so a leak is
-	// reported at most once per Get call even across forked states.
-	vars map[types.Object]*poolVar
+	// reported holds the acquisitions (by Get call position) already
+	// diagnosed, so each Get is reported at most once across forked states.
+	reported map[token.Pos]bool
+}
+
+// report emits one diagnostic per acquisition.
+func (pc *poolChecker) report(v *poolVar, pos token.Pos, format string, args ...any) {
+	if !pc.reported[v.getPos] {
+		pc.reported[v.getPos] = true
+		pc.pass.Reportf(pos, format, args...)
+	}
 }
 
 // getCall returns the pool-acquiring function name if call is
 // wire.GetBuffer or wire.GetRecordSlice.
-func (pc *poolChecker) getCall(call *ast.CallExpr) (string, bool) {
+func getCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 	for _, name := range []string{"GetBuffer", "GetRecordSlice"} {
-		if isPkgFunc(pc.pass, call, wirePkgPath, name) {
+		if isPkgFunc(pkg, call, wirePkgPath, name) {
 			return name, true
 		}
 	}
@@ -127,7 +140,7 @@ func (pc *poolChecker) getCall(call *ast.CallExpr) (string, bool) {
 // wire.ReleaseBuffer or wire.ReleaseRecordSlice.
 func (pc *poolChecker) releaseCall(call *ast.CallExpr) (string, bool) {
 	for _, name := range []string{"ReleaseBuffer", "ReleaseRecordSlice"} {
-		if isPkgFunc(pc.pass, call, wirePkgPath, name) {
+		if isPkgFunc(pc.pass.Pkg, call, wirePkgPath, name) {
 			return name, true
 		}
 	}
@@ -136,330 +149,104 @@ func (pc *poolChecker) releaseCall(call *ast.CallExpr) (string, bool) {
 
 // checkLeaks reports every variable still (possibly) live when a path
 // leaves the function.
-func (pc *poolChecker) checkLeaks(st poolState, at token.Pos) {
+func (pc *poolChecker) checkLeaks(st poolState) {
 	for obj, v := range st {
-		if v.status&poolLive != 0 && !pc.vars[obj].reported {
-			pc.vars[obj].reported = true
-			pc.pass.Reportf(v.getPos, "%s from wire.%s is not released on every path to the end of the function", obj.Name(), v.get)
+		if v.status&poolLive != 0 {
+			pc.report(v, v.getPos, "%s from wire.%s is not released on every path to the end of the function", obj.Name(), v.get)
 		}
 	}
 }
 
-// block walks a statement list, returning the out-state and whether every
-// path through it terminated (return / panic / branch).
-func (pc *poolChecker) block(stmts []ast.Stmt, st poolState) (poolState, bool) {
-	for _, s := range stmts {
-		var terminated bool
-		st, terminated = pc.stmt(s, st)
-		if terminated {
-			return st, true
-		}
-	}
-	return st, false
-}
-
-// scopedBlock walks a block and, at its close, reports variables acquired
-// inside it that are still live — they go out of scope unreleased (this is
-// what catches per-iteration leaks in loop bodies).
-func (pc *poolChecker) scopedBlock(body *ast.BlockStmt, st poolState) (poolState, bool) {
-	out, terminated := pc.block(body.List, st)
-	if terminated {
-		return out, true
-	}
-	for obj, v := range out {
-		if v.declPos >= body.Pos() && v.declPos <= body.End() {
-			if v.status&poolLive != 0 && !pc.vars[obj].reported {
-				pc.vars[obj].reported = true
-				pc.pass.Reportf(v.getPos, "%s from wire.%s goes out of scope without being released on every path", obj.Name(), v.get)
+// scopeEnd reports variables acquired inside the scope that are still
+// live as it closes — they go out of scope unreleased (this is what
+// catches per-iteration leaks in loop bodies).
+func (pc *poolChecker) scopeEnd(scope ast.Node, st poolState) {
+	for obj, v := range st {
+		if v.declPos >= scope.Pos() && v.declPos <= scope.End() {
+			if v.status&poolLive != 0 {
+				pc.report(v, v.getPos, "%s from wire.%s goes out of scope without being released on every path", obj.Name(), v.get)
 			}
-			delete(out, obj)
+			delete(st, obj)
 		}
-	}
-	return out, false
-}
-
-func (pc *poolChecker) stmt(s ast.Stmt, st poolState) (poolState, bool) {
-	switch s := s.(type) {
-	case nil:
-		return st, false
-	case *ast.AssignStmt:
-		return pc.assign(s, st), false
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				if len(vs.Names) == 1 && len(vs.Values) == 1 {
-					if call, ok := vs.Values[0].(*ast.CallExpr); ok {
-						if get, isGet := pc.getCall(call); isGet {
-							pc.track(st, vs.Names[0], get, call.Pos(), s.Pos())
-							continue
-						}
-					}
-				}
-				for _, v := range vs.Values {
-					pc.expr(v, st)
-				}
-			}
-		}
-		return st, false
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if get, isGet := pc.getCall(call); isGet {
-				pc.pass.Reportf(call.Pos(), "result of wire.%s is discarded: the pooled value leaks", get)
-				for _, a := range call.Args {
-					pc.expr(a, st)
-				}
-				return st, false
-			}
-		}
-		pc.expr(s.X, st)
-		return st, false
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			pc.escapeOrUse(r, st)
-		}
-		pc.checkLeaks(st, s.Pos())
-		return st, true
-	case *ast.IfStmt:
-		st, _ = pc.stmt(s.Init, st)
-		pc.expr(s.Cond, st)
-		thenSt, thenTerm := pc.scopedBlock(s.Body, st.clone())
-		elseSt, elseTerm := st, false
-		if s.Else != nil {
-			elseSt, elseTerm = pc.stmt(s.Else, st.clone())
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return st, true
-		case thenTerm:
-			return elseSt, false
-		case elseTerm:
-			return thenSt, false
-		default:
-			return thenSt.merge(elseSt, pc.vars), false
-		}
-	case *ast.BlockStmt:
-		return pc.scopedBlock(s, st)
-	case *ast.ForStmt:
-		st, _ = pc.stmt(s.Init, st)
-		pc.expr(s.Cond, st)
-		bodySt, bodyTerm := pc.scopedBlock(s.Body, st.clone())
-		if !bodyTerm {
-			bodySt, _ = pc.stmt(s.Post, bodySt)
-			st = st.merge(bodySt, pc.vars)
-		}
-		return st, false
-	case *ast.RangeStmt:
-		pc.expr(s.X, st)
-		bodySt, bodyTerm := pc.scopedBlock(s.Body, st.clone())
-		if !bodyTerm {
-			st = st.merge(bodySt, pc.vars)
-		}
-		return st, false
-	case *ast.SwitchStmt:
-		st, _ = pc.stmt(s.Init, st)
-		pc.expr(s.Tag, st)
-		return pc.clauses(s.Body, st, hasDefaultClause(s.Body))
-	case *ast.TypeSwitchStmt:
-		st, _ = pc.stmt(s.Init, st)
-		if as, ok := s.Assign.(*ast.AssignStmt); ok {
-			for _, r := range as.Rhs {
-				pc.expr(r, st)
-			}
-		} else if es, ok := s.Assign.(*ast.ExprStmt); ok {
-			pc.expr(es.X, st)
-		}
-		return pc.clauses(s.Body, st, hasDefaultClause(s.Body))
-	case *ast.SelectStmt:
-		return pc.clauses(s.Body, st, true)
-	case *ast.SendStmt:
-		pc.expr(s.Chan, st)
-		pc.escapeOrUse(s.Value, st)
-		return st, false
-	case *ast.DeferStmt:
-		// defer wire.Release*(v) guarantees release on every path: stop
-		// tracking v. Other defers are ordinary escape points.
-		if _, isRel := pc.releaseCall(s.Call); isRel && len(s.Call.Args) == 1 {
-			if obj := pc.identObj(s.Call.Args[0]); obj != nil {
-				if _, tracked := st[obj]; tracked {
-					delete(st, obj)
-					return st, false
-				}
-			}
-		}
-		pc.expr(s.Call, st)
-		return st, false
-	case *ast.GoStmt:
-		pc.expr(s.Call, st)
-		return st, false
-	case *ast.LabeledStmt:
-		return pc.stmt(s.Stmt, st)
-	case *ast.BranchStmt:
-		// break/continue/goto leave the enclosing construct; treat the
-		// path as terminated (scope-exit leak checks happen at the block
-		// that declared the variable).
-		if s.Tok == token.FALLTHROUGH {
-			return st, false
-		}
-		return st, true
-	case *ast.IncDecStmt:
-		pc.expr(s.X, st)
-		return st, false
-	case *ast.EmptyStmt:
-		return st, false
-	default:
-		ast.Inspect(s, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				pc.expr(e, st)
-				return false
-			}
-			return true
-		})
-		return st, false
 	}
 }
 
-// clauses forks st into each case/comm clause and merges the survivors.
-// When the construct has no default (exhaustive=false) the fall-past path
-// keeps the incoming state.
-func (pc *poolChecker) clauses(body *ast.BlockStmt, st poolState, exhaustive bool) (poolState, bool) {
-	var merged poolState
-	anyOpen := false
-	for _, clause := range body.List {
-		var stmts []ast.Stmt
-		switch c := clause.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				pc.expr(e, st)
+// deferStmt: defer wire.Release*(v) guarantees release on every path, so
+// v stops being tracked. Other defers are ordinary escape points.
+func (pc *poolChecker) deferStmt(s *ast.DeferStmt, st poolState) {
+	if _, isRel := pc.releaseCall(s.Call); isRel && len(s.Call.Args) == 1 {
+		if obj := pc.identObj(s.Call.Args[0]); obj != nil {
+			if _, tracked := st[obj]; tracked {
+				delete(st, obj)
+				return
 			}
-			stmts = c.Body
-		case *ast.CommClause:
-			branch := st.clone()
-			var term bool
-			if c.Comm != nil {
-				branch, term = pc.stmt(c.Comm, branch)
-			}
-			if !term {
-				branch, term = pc.block(c.Body, branch)
-			}
-			if !term {
-				if merged == nil {
-					merged = branch
-				} else {
-					merged = merged.merge(branch, pc.vars)
-				}
-				anyOpen = true
-			}
-			continue
-		}
-		branch, term := pc.block(stmts, st.clone())
-		if !term {
-			if merged == nil {
-				merged = branch
-			} else {
-				merged = merged.merge(branch, pc.vars)
-			}
-			anyOpen = true
 		}
 	}
-	if !exhaustive {
-		if merged == nil {
-			merged = st
-		} else {
-			merged = merged.merge(st, pc.vars)
-		}
-		anyOpen = true
-	}
-	if !anyOpen {
-		return st, true
-	}
-	return merged, false
+	pc.expr(s.Call, st)
 }
 
-// assign handles tracking starts (x := wire.GetBuffer()), overwrites, and
-// aliasing escapes.
-func (pc *poolChecker) assign(s *ast.AssignStmt, st poolState) poolState {
+// assign handles tracking starts (x := wire.GetBuffer(), var x =
+// wire.GetBuffer()), overwrites, and aliasing escapes.
+func (pc *poolChecker) assign(s ast.Stmt, lhs, rhs []ast.Expr, st poolState) {
 	// x := wire.Get*() / x = wire.Get*()
-	if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-		if call, ok := s.Rhs[0].(*ast.CallExpr); ok {
-			if get, isGet := pc.getCall(call); isGet {
-				if id, ok := s.Lhs[0].(*ast.Ident); ok {
-					if obj := pc.pass.ObjectOf(id); obj != nil {
-						if prev, tracked := st[obj]; tracked && prev.status&poolLive != 0 && !pc.vars[obj].reported {
-							pc.vars[obj].reported = true
-							pc.pass.Reportf(call.Pos(), "%s is overwritten by wire.%s while the previous pooled value may still be live", obj.Name(), get)
-						}
-						pc.track(st, id, get, call.Pos(), s.Pos())
-						return st
+	if len(lhs) == 1 && len(rhs) == 1 {
+		if call, ok := rhs[0].(*ast.CallExpr); ok {
+			if get, isGet := getCall(pc.pass.Pkg, call); isGet {
+				if obj := pc.identObj(lhs[0]); obj != nil {
+					if prev, tracked := st[obj]; tracked && prev.status&poolLive != 0 {
+						pc.report(prev, call.Pos(), "%s is overwritten by wire.%s while the previous pooled value may still be live", obj.Name(), get)
 					}
+					st[obj] = &poolVar{status: poolLive, get: get, getPos: call.Pos(), declPos: s.Pos()}
+					return
 				}
 				// Get result assigned to a non-ident (field, index):
 				// ownership lives in that location; not tracked.
-				pc.expr(s.Lhs[0], st)
-				return st
+				pc.expr(lhs[0], st)
+				return
 			}
 		}
 	}
-	for _, r := range s.Rhs {
+	for _, r := range rhs {
 		pc.escapeOrUse(r, st)
 	}
-	for _, l := range s.Lhs {
+	for _, l := range lhs {
 		// Overwriting a live tracked variable with something new loses the
 		// only reference to the pooled value.
 		if obj := pc.identObj(l); obj != nil {
 			if v, tracked := st[obj]; tracked {
-				if v.status&poolLive != 0 && !rhsMentions(s.Rhs, obj, pc.pass) && !pc.vars[obj].reported {
-					pc.vars[obj].reported = true
-					pc.pass.Reportf(s.Pos(), "%s is overwritten while the pooled value from wire.%s may still be live", obj.Name(), v.get)
-				}
-				delete(st, obj)
 				// Self-referential reassignment (rs = rs[:0], out = append(out, ...))
 				// keeps the same backing value: retain tracking.
-				if rhsMentions(s.Rhs, obj, pc.pass) {
-					st[obj] = v
+				if !rhsMentions(pc.pass.Pkg, rhs, obj) {
+					if v.status&poolLive != 0 {
+						pc.report(v, s.Pos(), "%s is overwritten while the pooled value from wire.%s may still be live", obj.Name(), v.get)
+					}
+					delete(st, obj)
 				}
 			}
 			continue
 		}
 		pc.expr(l, st)
 	}
-	return st
 }
 
-func rhsMentions(rhs []ast.Expr, obj types.Object, pass *Pass) bool {
+func rhsMentions(pkg *Package, rhs []ast.Expr, obj types.Object) bool {
+	found := false
 	for _, r := range rhs {
-		found := false
 		ast.Inspect(r, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && pass.ObjectOf(id) == obj {
+			if id, ok := n.(*ast.Ident); ok && pkg.ObjectOf(id) == obj {
 				found = true
 			}
 			return !found
 		})
-		if found {
-			return true
-		}
 	}
-	return false
-}
-
-func (pc *poolChecker) track(st poolState, id *ast.Ident, get string, getPos, declPos token.Pos) {
-	obj := pc.pass.ObjectOf(id)
-	if obj == nil {
-		return
-	}
-	v := &poolVar{status: poolLive, get: get, getPos: getPos, declPos: declPos}
-	st[obj] = v
-	pc.vars[obj] = v
+	return found
 }
 
 // identObj unwraps a plain identifier (not a selector or index) to its
 // object.
 func (pc *poolChecker) identObj(e ast.Expr) types.Object {
 	if id, ok := e.(*ast.Ident); ok {
-		return pc.pass.ObjectOf(id)
+		return pc.pass.Pkg.ObjectOf(id)
 	}
 	return nil
 }
@@ -499,7 +286,7 @@ func (pc *poolChecker) expr(e ast.Expr, st poolState) {
 	case nil:
 		return
 	case *ast.Ident:
-		if obj := pc.pass.ObjectOf(e); obj != nil {
+		if obj := pc.pass.Pkg.ObjectOf(e); obj != nil {
 			if v, tracked := st[obj]; tracked {
 				pc.useCheck(e.Pos(), obj, v)
 			}
@@ -511,7 +298,7 @@ func (pc *poolChecker) expr(e ast.Expr, st poolState) {
 		// lifetime: stop tracking everything it references.
 		ast.Inspect(e.Body, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if obj := pc.pass.ObjectOf(id); obj != nil {
+				if obj := pc.pass.Pkg.ObjectOf(id); obj != nil {
 					delete(st, obj)
 				}
 			}
@@ -573,9 +360,8 @@ func (pc *poolChecker) call(call *ast.CallExpr, st poolState) {
 		if len(call.Args) == 1 {
 			if obj := pc.identObj(call.Args[0]); obj != nil {
 				if v, tracked := st[obj]; tracked {
-					if v.status&poolReleased != 0 && !pc.vars[obj].reported {
-						pc.vars[obj].reported = true
-						pc.pass.Reportf(call.Pos(), "%s may be released more than once (wire.%s already ran on some path)", obj.Name(), rel)
+					if v.status&poolReleased != 0 {
+						pc.report(v, call.Pos(), "%s may be released more than once (wire.%s already ran on some path)", obj.Name(), rel)
 					}
 					v.status = poolReleased
 					return
@@ -587,11 +373,10 @@ func (pc *poolChecker) call(call *ast.CallExpr, st poolState) {
 		}
 		return
 	}
-	if get, isGet := pc.getCall(call); isGet {
+	if _, isGet := getCall(pc.pass.Pkg, call); isGet {
 		// Get in a value context (argument, return, literal): ownership
 		// goes wherever the value goes; nothing to track. The discarded
-		// case (expression statement) is reported by stmt.
-		_ = get
+		// case (expression statement) is reported by runPoolcheck.
 		return
 	}
 	pc.expr(call.Fun, st)
@@ -616,7 +401,7 @@ func (pc *poolChecker) isBuiltinOrConversion(call *ast.CallExpr) bool {
 		fun = p.X
 	}
 	if id, ok := fun.(*ast.Ident); ok {
-		if obj := pc.pass.ObjectOf(id); obj != nil {
+		if obj := pc.pass.Pkg.ObjectOf(id); obj != nil {
 			if _, isBuiltin := obj.(*types.Builtin); isBuiltin {
 				return true
 			}
@@ -624,15 +409,6 @@ func (pc *poolChecker) isBuiltinOrConversion(call *ast.CallExpr) bool {
 	}
 	if tv, ok := pc.pass.Pkg.Info.Types[fun]; ok && tv.IsType() {
 		return true
-	}
-	return false
-}
-
-func hasDefaultClause(body *ast.BlockStmt) bool {
-	for _, clause := range body.List {
-		if c, ok := clause.(*ast.CaseClause); ok && c.List == nil {
-			return true
-		}
 	}
 	return false
 }

@@ -127,22 +127,33 @@ func collectSeq(pkgs []*Package, facts *ModuleFacts) {
 	// begin/end pairing walk.
 	var infos []*seqFuncInfo
 	for _, pkg := range scoped {
+		pkgReport := func(pos token.Pos, format string, args ...any) {
+			report(pkg, pos, format, args...)
+		}
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					infos = append(infos, sc.summarize(pkg, fd))
+					sc.checkSeqDiscipline(pkg, fd, pkgReport)
 				}
-				infos = append(infos, sc.summarize(pkg, fd))
-				sc.checkSeqDiscipline(pkg, fd, func(pos token.Pos, format string, args ...any) {
-					report(pkg, pos, format, args...)
-				})
-				pw := &seqPairWalker{sc: sc, pkg: pkg, report: func(pos token.Pos, format string, args ...any) {
-					report(pkg, pos, format, args...)
-				}}
-				pw.checkFunc(fd)
 			}
 		}
+		pw := &seqPairWalker{sc: sc, pkg: pkg, report: pkgReport}
+		w := &pathWalker[secSet]{
+			expr:      pw.expr,
+			deferStmt: pw.deferStmt,
+			// A spawned goroutine runs outside the section; a literal it
+			// runs is walked on its own.
+			goStmt: func(*ast.GoStmt, secSet) {},
+			exit: func(at token.Pos, results []ast.Expr, state secSet) {
+				for _, r := range results {
+					pw.expr(r, state)
+				}
+				pw.checkExit(at, state)
+			},
+		}
+		// Function literals run on their own frames with no section open.
+		forEachFunc(pkg.Files, func(body *ast.BlockStmt) { w.walkFunc(body, make(secSet)) })
 	}
 
 	// Fixpoint: an exempt helper that mutates guarded state (or calls a
@@ -491,22 +502,6 @@ func (sc *seqCollector) summarize(pkg *Package, fd *ast.FuncDecl) *seqFuncInfo {
 	return fi
 }
 
-// calleeObj resolves a call's target function object (methods and
-// package functions), or nil for builtins and indirect calls.
-func calleeObj(pkg *Package, call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if fn, ok := pkg.ObjectOf(fun).(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := pkg.ObjectOf(fun.Sel).(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
 func inSeqInterval(intervals []seqInterval, pos token.Pos) bool {
 	for _, iv := range intervals {
 		if iv.start <= pos && pos <= iv.end {
@@ -516,10 +511,9 @@ func inSeqInterval(intervals []seqInterval, pos token.Pos) bool {
 	return false
 }
 
-// seqPairWalker is the path-sensitive begin/end pairing check, modeled on
-// lockhold's lock tracking: per path it knows, for each stripe variable,
-// whether its write section is open and whether a deferred end covers
-// function exit.
+// seqPairWalker holds the pathWalker hooks of the begin/end pairing
+// check: per path it knows, for each stripe variable, whether its write
+// section is open and whether a deferred end covers function exit.
 type seqPairWalker struct {
 	sc     *seqCollector
 	pkg    *Package
@@ -567,24 +561,6 @@ func mergeSec(a, b secInfo) secInfo {
 	}
 }
 
-func (w *seqPairWalker) checkFunc(fd *ast.FuncDecl) {
-	state, terminated := w.block(fd.Body.List, make(secSet))
-	if !terminated {
-		w.checkExit(fd.Body.End(), state)
-	}
-	// Function literals run on their own frames with no section open.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			litState, litTerm := w.block(lit.Body.List, make(secSet))
-			if !litTerm {
-				w.checkExit(lit.Body.End(), litState)
-			}
-			return false
-		}
-		return true
-	})
-}
-
 func (w *seqPairWalker) checkExit(pos token.Pos, state secSet) {
 	for obj, info := range state {
 		if info.open && !info.deferred {
@@ -593,130 +569,22 @@ func (w *seqPairWalker) checkExit(pos token.Pos, state secSet) {
 	}
 }
 
-func (w *seqPairWalker) block(stmts []ast.Stmt, state secSet) (secSet, bool) {
-	for _, s := range stmts {
-		var terminated bool
-		state, terminated = w.stmt(s, state)
-		if terminated {
-			return state, true
+// deferStmt registers a deferred endWrite, which keeps the section open
+// to function exit and closes it there.
+func (w *seqPairWalker) deferStmt(s *ast.DeferStmt, state secSet) {
+	if obj := calleeObj(w.pkg, s.Call); obj != nil && w.sc.ends[obj] {
+		if key := w.stripeKey(s.Call); key != nil {
+			info := state[key]
+			info.deferred = true
+			state[key] = info
 		}
+		return
 	}
-	return state, false
-}
-
-func (w *seqPairWalker) stmt(s ast.Stmt, state secSet) (secSet, bool) {
-	switch s := s.(type) {
-	case nil:
-		return state, false
-	case *ast.ExprStmt:
-		w.expr(s.X, state)
-		return state, false
-	case *ast.AssignStmt:
-		for _, r := range s.Rhs {
-			w.expr(r, state)
-		}
-		return state, false
-	case *ast.IfStmt:
-		state, _ = w.stmt(s.Init, state)
-		w.expr(s.Cond, state)
-		thenState, thenTerm := w.block(s.Body.List, state.clone())
-		elseState, elseTerm := state, false
-		if s.Else != nil {
-			elseState, elseTerm = w.stmt(s.Else, state.clone())
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return state, true
-		case thenTerm:
-			return elseState, false
-		case elseTerm:
-			return thenState, false
-		default:
-			return thenState.merge(elseState), false
-		}
-	case *ast.BlockStmt:
-		return w.block(s.List, state)
-	case *ast.ForStmt:
-		state, _ = w.stmt(s.Init, state)
-		w.expr(s.Cond, state)
-		bodyState, bodyTerm := w.block(s.Body.List, state.clone())
-		if !bodyTerm {
-			bodyState, _ = w.stmt(s.Post, bodyState)
-			state = state.merge(bodyState)
-		}
-		return state, false
-	case *ast.RangeStmt:
-		w.expr(s.X, state)
-		bodyState, bodyTerm := w.block(s.Body.List, state.clone())
-		if !bodyTerm {
-			state = state.merge(bodyState)
-		}
-		return state, false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var body *ast.BlockStmt
-		if sw, ok := s.(*ast.SwitchStmt); ok {
-			state, _ = w.stmt(sw.Init, state)
-			w.expr(sw.Tag, state)
-			body = sw.Body
-		} else {
-			ts := s.(*ast.TypeSwitchStmt)
-			state, _ = w.stmt(ts.Init, state)
-			body = ts.Body
-		}
-		merged := state
-		for _, clause := range body.List {
-			if c, ok := clause.(*ast.CaseClause); ok {
-				branch, term := w.block(c.Body, state.clone())
-				if !term {
-					merged = merged.merge(branch)
-				}
-			}
-		}
-		return merged, false
-	case *ast.SelectStmt:
-		merged := state
-		for _, clause := range s.Body.List {
-			if c, ok := clause.(*ast.CommClause); ok {
-				branch, term := w.block(c.Body, state.clone())
-				if !term {
-					merged = merged.merge(branch)
-				}
-			}
-		}
-		return merged, false
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.expr(r, state)
-		}
-		w.checkExit(s.Pos(), state)
-		return state, true
-	case *ast.BranchStmt:
-		return state, true
-	case *ast.DeferStmt:
-		if obj := calleeObj(w.pkg, s.Call); obj != nil && w.sc.ends[obj] {
-			if key := w.stripeKey(s.Call); key != nil {
-				info := state[key]
-				info.deferred = true
-				state[key] = info
-			}
-			return state, false
-		}
-		w.expr(s.Call, state)
-		return state, false
-	case *ast.GoStmt:
-		return state, false
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, state)
-	default:
-		return state, false
-	}
+	w.expr(s.Call, state)
 }
 
 // expr scans an expression for begin/end transitions, in source order.
 func (w *seqPairWalker) expr(e ast.Expr, state secSet) {
-	if e == nil {
-		return
-	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
 			return false // analyzed separately with a fresh state

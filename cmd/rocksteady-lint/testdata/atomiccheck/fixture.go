@@ -1,40 +1,33 @@
-// Package atomiccheckfixture plants atomiccheck violations: fields accessed
-// through sync/atomic in one place and plainly in another, and typed
-// atomics copied as values.
+// Package atomiccheckfixture plants atomiccheck violations: calls of
+// sync/atomic's package-level functions, which act on plain words that
+// other code can still access plainly. Typed atomics are the sanctioned
+// form; copying one is go vet's copylocks finding, not atomiccheck's.
 package atomiccheckfixture
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	atom "sync/atomic"
+)
 
 type counter struct {
-	n    int64
-	hits int64
+	n int64
 }
 
-// bump is the atomic side of the mixed pair; the plain accesses below are
-// what get flagged, each naming this access site.
-func bump(c *counter) {
-	atomic.AddInt64(&c.n, 1)
+func badAdd(c *counter) {
+	atomic.AddInt64(&c.n, 1) // want:atomiccheck "atomic.AddInt64 acts on a plain word"
 }
 
-func badPlainWrite(c *counter) {
-	c.n = 5 // want:atomiccheck "plain access of field n"
+func badLoad(c *counter) int64 {
+	return atomic.LoadInt64(&c.n) // want:atomiccheck "atomic.LoadInt64 acts on a plain word"
 }
 
-func badPlainRead(c *counter) int64 {
-	return c.n // want:atomiccheck "plain access of field n"
+func badRenamedImport(c *counter) bool {
+	return atom.CompareAndSwapInt64(&c.n, 0, 1) // want:atomiccheck "atomic.CompareAndSwapInt64 acts on a plain word"
 }
 
-func okPlainOnlyField(c *counter) {
-	c.hits = 1 // never touched atomically anywhere: plain access is fine
-}
-
-func okAtomicRead(c *counter) int64 {
-	return atomic.LoadInt64(&c.n)
-}
-
-func okIgnoredMixed(c *counter) {
+func okIgnored(c *counter) {
 	//lint:ignore atomiccheck fixture exercises the escape hatch
-	c.n = 9
+	atomic.StoreInt64(&c.n, 9)
 }
 
 type gauge struct {
@@ -48,21 +41,4 @@ func okMethods(g *gauge) int64 {
 
 func okAddress(g *gauge) *atomic.Int64 {
 	return &g.v // sharing by address is the legitimate way
-}
-
-func badCopyReturn(g *gauge) atomic.Int64 {
-	return g.v // want:atomiccheck "atomic.Int64 used as a plain value"
-}
-
-func badCopyPass(g *gauge) {
-	sinkInt(g.v) // want:atomiccheck "atomic.Int64 used as a plain value"
-}
-
-func badCopyDeref(p *atomic.Int64) {
-	x := *p // want:atomiccheck "atomic.Int64 used as a plain value"
-	_ = x.Load()
-}
-
-func sinkInt(v atomic.Int64) {
-	_ = v.Load()
 }

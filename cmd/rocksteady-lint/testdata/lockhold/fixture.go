@@ -82,6 +82,64 @@ func (g *guarded) okGoroutineDoesNotInheritLock() {
 	g.mu.Unlock()
 }
 
+// A select without a default always runs one of its clauses: when every
+// clause unlocks, nothing after the select runs with the lock held.
+func (g *guarded) okSelectUnlocksEveryArm(done <-chan struct{}, in <-chan int) {
+	g.mu.Lock()
+	select {
+	case <-done:
+		g.mu.Unlock()
+	case v := <-in:
+		g.val = v
+		g.mu.Unlock()
+	}
+	g.ch <- 7
+}
+
+// fallthrough carries the path into the next case, which unlocks; a
+// switch with a default has no path that skips every case.
+func (g *guarded) okFallthroughIntoUnlock(k int) {
+	g.mu.Lock()
+	switch k {
+	case 0:
+		g.val++
+		fallthrough
+	case 1:
+		g.mu.Unlock()
+	default:
+		g.mu.Unlock()
+	}
+	g.ch <- 8
+}
+
+// The lock case 0 takes is still held in case 1, which it falls into.
+func (g *guarded) badFallthroughCarriesLock(k int) {
+	switch k {
+	case 0:
+		g.mu.Lock()
+		fallthrough
+	case 1:
+		g.ch <- 9 // want:lockhold "channel send while mu is held"
+		g.mu.Unlock()
+	}
+}
+
+// A break leaves the switch with the lock still held, although every
+// path that reaches the end of a case unlocks.
+func (g *guarded) badBreakKeepsLock(k int) {
+	g.mu.Lock()
+	switch k {
+	case 0:
+		if g.val > 0 {
+			break
+		}
+		g.mu.Unlock()
+	default:
+		g.mu.Unlock()
+	}
+	g.ch <- 10 // want:lockhold "channel send while mu is held"
+}
+
 func (g *guarded) okIgnored() {
 	g.mu.Lock()
 	//lint:ignore lockhold fixture exercises the escape hatch

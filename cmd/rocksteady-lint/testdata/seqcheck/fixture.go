@@ -117,6 +117,31 @@ func (t *table) badNestedBegin() {
 	t.st.endWrite()
 }
 
+// A switch with a default always runs one of its cases: when every case
+// ends the section, nothing is left open at exit.
+func (t *table) goodEndOnEverySwitchArm(h uint64, k int) {
+	t.st.beginWrite()
+	switch k {
+	case 0:
+		t.slots[0].ref.Store(h)
+		t.st.endWrite()
+	default:
+		t.st.endWrite()
+	}
+}
+
+// fallthrough carries the open section into the case that ends it.
+func (t *table) goodFallthroughIntoEnd(h uint64, k int) {
+	t.st.beginWrite()
+	switch k {
+	case 0:
+		t.slots[0].ref.Store(h)
+		fallthrough
+	default:
+		t.st.endWrite()
+	}
+}
+
 func (t *table) read() uint64 {
 	return t.slots[0].ref.Load() // lock-free reads are always legal
 }

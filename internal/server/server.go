@@ -733,15 +733,14 @@ func (s *Server) handleMultiGetByHash(st *statShard, req *wire.MultiGetByHashReq
 // ---------------------------------------------------------------------------
 
 func (s *Server) handlePrepareMigration(req *wire.PrepareMigrationRequest) *wire.PrepareMigrationResponse {
-	if _, owned := s.tabletFor(req.Table, req.Range.Start); !owned {
+	// Unless the source keeps serving, mark the range
+	// immutable-and-migrating; from here every client op on it answers
+	// StatusWrongServer, shedding load instantly (§3). Registering carves
+	// the range out of any covering tablet, so the boundary materializes
+	// exactly now — never earlier. A range this server holds only part
+	// of is refused whole.
+	if !s.prepareMigrationOut(req.Table, req.Range, req.KeepServing) {
 		return &wire.PrepareMigrationResponse{Status: wire.StatusWrongServer}
-	}
-	if !req.KeepServing {
-		// Mark immutable-and-migrating; from here every client op on the
-		// range answers StatusWrongServer, shedding load instantly (§3).
-		// RegisterTablet carves the range out of any covering tablet, so
-		// the boundary materializes exactly now — never earlier.
-		s.RegisterTablet(req.Table, req.Range, TabletMigratingOut)
 	}
 	return &wire.PrepareMigrationResponse{
 		Status:         wire.StatusOK,

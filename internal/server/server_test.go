@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -146,6 +147,40 @@ func TestServerPrepareKeepServing(t *testing.T) {
 	rd := r.call(t, &wire.ReadRequest{Table: 1, Key: []byte("k")}).(*wire.ReadResponse)
 	if rd.Status != wire.StatusOK {
 		t.Fatalf("keep-serving read: %+v", rd)
+	}
+}
+
+// TestServerPrepareRequiresWholeRange asks a source that holds [0,99] to
+// prepare [0,199]: it must refuse, whether or not it would keep serving,
+// and leave its tablets as they were. Once [100,199] is registered too,
+// the two adjacent tablets cover the range and the prepare succeeds.
+func TestServerPrepareRequiresWholeRange(t *testing.T) {
+	r := newRig(t, Config{})
+	r.srv.RegisterTablet(1, wire.HashRange{Start: 0, End: 99}, TabletNormal)
+	want := wire.HashRange{Start: 0, End: 199}
+	before := append([]tabletEntry(nil), r.srv.tabletSnapshot().entries...)
+	for _, keep := range []bool{false, true} {
+		prep := r.call(t, &wire.PrepareMigrationRequest{Table: 1, Range: want, Target: 11, KeepServing: keep}).(*wire.PrepareMigrationResponse)
+		if prep.Status != wire.StatusWrongServer {
+			t.Fatalf("prepare of a partly held range (KeepServing=%v): %+v", keep, prep)
+		}
+		if after := r.srv.tabletSnapshot().entries; !reflect.DeepEqual(after, before) {
+			t.Fatalf("refused prepare changed the tablets: %+v, want %+v", after, before)
+		}
+	}
+
+	r.srv.RegisterTablet(1, wire.HashRange{Start: 100, End: 199}, TabletNormal)
+	prep := r.call(t, &wire.PrepareMigrationRequest{Table: 1, Range: want, Target: 11}).(*wire.PrepareMigrationResponse)
+	if prep.Status != wire.StatusOK {
+		t.Fatalf("prepare over two adjacent tablets: %+v", prep)
+	}
+	for _, h := range []uint64{0, 99, 100, 199} {
+		if state, owned := r.srv.tabletFor(1, h); !owned || state != TabletMigratingOut {
+			t.Errorf("hash %d after prepare: state %v owned %v, want migrating out", h, state, owned)
+		}
+	}
+	if _, owned := r.srv.tabletFor(1, 200); owned {
+		t.Error("prepare registered hashes beyond the range")
 	}
 }
 

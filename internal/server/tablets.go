@@ -27,6 +27,29 @@ func (tm *tabletMap) lookup(table wire.TableID, hash uint64) (TabletState, bool)
 	return TabletNormal, false
 }
 
+// covers reports whether the entries of table together cover every hash
+// of rng, in any state. Entries never overlap (RegisterTablet carves them
+// apart), so each step jumps past one entry.
+func (tm *tabletMap) covers(table wire.TableID, rng wire.HashRange) bool {
+	at := rng.Start
+	for {
+		found := false
+		for _, t := range tm.entries {
+			if t.table != table || !t.rng.Contains(at) {
+				continue
+			}
+			if t.rng.End >= rng.End {
+				return true
+			}
+			at, found = t.rng.End+1, true
+			break
+		}
+		if !found {
+			return false
+		}
+	}
+}
+
 // tabletSnapshot returns the current routing snapshot. One atomic load;
 // the result stays internally consistent for the request's lifetime.
 func (s *Server) tabletSnapshot() *tabletMap {
@@ -65,6 +88,11 @@ func (s *Server) RegisterTablet(table wire.TableID, rng wire.HashRange, state Ta
 	s.heat.RegisterTable(table)
 	s.tabletMu.Lock()
 	defer s.tabletMu.Unlock()
+	s.registerLocked(table, rng, state)
+}
+
+// registerLocked is RegisterTablet for a caller that holds tabletMu.
+func (s *Server) registerLocked(table wire.TableID, rng wire.HashRange, state TabletState) {
 	s.finishSweeps(table, rng)
 	cur := s.tablets.Load()
 	next := make([]tabletEntry, 0, len(cur.entries)+2)
@@ -83,6 +111,25 @@ func (s *Server) RegisterTablet(table wire.TableID, rng wire.HashRange, state Ta
 	}
 	next = append(next, tabletEntry{table: table, rng: rng, state: state})
 	s.tablets.Store(&tabletMap{entries: next})
+}
+
+// prepareMigrationOut is the source's half of a migration prologue: under
+// one tabletMu hold it checks that this server's tablets cover all of
+// (table, rng) and, unless the source keeps serving, registers the range
+// MigratingOut. Any state counts as covering: a range still migrating in
+// may be prepared to leave again, and a retried prepare finds the range
+// already migrating out. It reports whether the range was covered; a
+// range held only in part is left exactly as it was.
+func (s *Server) prepareMigrationOut(table wire.TableID, rng wire.HashRange, keepServing bool) bool {
+	s.tabletMu.Lock()
+	defer s.tabletMu.Unlock()
+	if !s.tablets.Load().covers(table, rng) {
+		return false
+	}
+	if !keepServing {
+		s.registerLocked(table, rng, TabletMigratingOut)
+	}
+	return true
 }
 
 // DropTablet forgets (table, rng) and discards its records before it
