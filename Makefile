@@ -39,9 +39,12 @@ vet:
 # context-first RPC signatures, and the lock-free protocol checks (typed
 # atomics only, seqlock write sections, RCU clone-then-store, per-function
 # hotpath allocations). The tool exits 0 clean, 1 on findings and 2 on a
-# tool error; go run reports any non-zero exit as 1.
+# tool error (a package that does not load or type-check). It is built
+# into bin/ and run from there, because go run reports any non-zero exit
+# as 1 and so would hide the 2.
 lint:
-	$(GO) run ./cmd/rocksteady-lint ./...
+	$(GO) build -o bin/rocksteady-lint ./cmd/rocksteady-lint
+	./bin/rocksteady-lint ./...
 
 test:
 	$(GO) test ./...

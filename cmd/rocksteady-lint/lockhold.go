@@ -2,6 +2,7 @@ package main
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -55,6 +56,7 @@ func runLockhold(pass *Pass) {
 	}
 	// A function literal runs on its own goroutine or call frame: it holds
 	// no locks on entry, and the enclosing walk does not look inside it.
+	lc.quiet = w.quiet
 	forEachFunc(pass.Pkg.Files, func(body *ast.BlockStmt) { w.walkFunc(body, make(lockSet)) })
 }
 
@@ -91,10 +93,17 @@ func (ls lockSet) anyHeld() (types.Object, bool) {
 }
 
 type lockChecker struct {
-	pass *Pass
+	pass  *Pass
+	quiet func() bool // the walker's silent pass: report nothing
 	// commSends maps each send that is a select clause's communication to
 	// whether that select has a default case (and so never blocks).
 	commSends map[*ast.SendStmt]bool
+}
+
+func (lc *lockChecker) reportf(pos token.Pos, format string, args ...any) {
+	if !lc.quiet() {
+		lc.pass.Reportf(pos, format, args...)
+	}
 }
 
 // noteSelect records the sends a select makes in its clauses.
@@ -126,7 +135,7 @@ func (lc *lockChecker) send(s *ast.SendStmt, held lockSet) {
 		what = "blocking select send"
 	}
 	if obj, any := held.anyHeld(); any {
-		lc.pass.Reportf(s.Pos(), "%s while %s is held: if the channel is full this blocks with the lock taken; release it first", what, obj.Name())
+		lc.reportf(s.Pos(), "%s while %s is held: if the channel is full this blocks with the lock taken; release it first", what, obj.Name())
 	}
 }
 
@@ -153,7 +162,7 @@ func (lc *lockChecker) expr(e ast.Expr, held lockSet) {
 		}
 		if lc.isTransportSend(call) {
 			if obj, any := held.anyHeld(); any {
-				lc.pass.Reportf(call.Pos(), "transport Send while %s is held: a blocked write deadlocks everyone needing the lock; release it first", obj.Name())
+				lc.reportf(call.Pos(), "transport Send while %s is held: a blocked write deadlocks everyone needing the lock; release it first", obj.Name())
 			}
 		}
 		return true

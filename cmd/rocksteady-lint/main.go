@@ -10,7 +10,8 @@
 //
 // Usage:
 //
-//	go run ./cmd/rocksteady-lint [-list] [packages]
+//	go build -o bin/rocksteady-lint ./cmd/rocksteady-lint
+//	bin/rocksteady-lint [-list] [packages]
 //
 // Packages are go list patterns and default to ./... Exit status is 0
 // when clean, 1 when diagnostics were reported, 2 on usage or load

@@ -26,9 +26,11 @@ type pathState[S any] interface {
 //   - break joins its path to the state after the statement it breaks,
 //     and continue joins it to the end of the loop body;
 //   - return ends the path at a function exit, and goto ends it;
-//   - a loop body is walked once, and the state after the loop merges
-//     the entry state with the body's end, so a state a second iteration
-//     would bring in is seen only after the loop;
+//   - a loop body is walked twice: once from the entry state with
+//     reporting muted, to find the state an iteration leaves behind, and
+//     once from the entry state merged with it, so the body also sees what
+//     a previous iteration brings in; the state after the loop merges the
+//     entry state with the body's ends;
 //   - a select clause's communication and a type switch's guard are
 //     evaluated on the path.
 type pathWalker[S pathState[S]] struct {
@@ -51,7 +53,14 @@ type pathWalker[S pathState[S]] struct {
 
 	label   string       // the label of the statement being entered
 	targets []*target[S] // the enclosing statements break and continue reach
+	// muted counts the loop bodies being walked in their first, silent
+	// pass; hooks must not report while quiet says so.
+	muted int
 }
+
+// quiet reports whether the walk is in a silent pass: hooks update the
+// state as usual but report nothing.
+func (w *pathWalker[S]) quiet() bool { return w.muted > 0 }
 
 // target collects the paths that break out of, or continue, one
 // enclosing for, range, switch or select statement. A nil state means no
@@ -267,21 +276,37 @@ func (w *pathWalker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 	return st, false
 }
 
-// loop walks a loop body once from st. The paths that reach the body's
-// end or continue run post and merge into st; the paths that break join
-// after the loop.
+// loop walks a loop body twice, the first pass silent, and joins the
+// paths that break out of the second after the loop.
 func (w *pathWalker[S]) loop(label string, body *ast.BlockStmt, post ast.Stmt, st S) (S, bool) {
-	t := &target[S]{label: label, loop: true}
+	w.muted++
+	_, end, term := w.iteration(label, body, post, st.clone())
+	w.targets = w.targets[:len(w.targets)-1]
+	w.muted--
+	if !term {
+		st = st.merge(end)
+	}
+	t, end, term := w.iteration(label, body, post, st.clone())
+	if !term {
+		st = st.merge(end)
+	}
+	return w.leave(t, st, false)
+}
+
+// iteration walks a loop body once from st and leaves its target pushed.
+// The paths that reach the body's end or continue run post and join in
+// end; the paths that break collect in t.
+func (w *pathWalker[S]) iteration(label string, body *ast.BlockStmt, post ast.Stmt, st S) (t *target[S], end S, term bool) {
+	t = &target[S]{label: label, loop: true}
 	w.targets = append(w.targets, t)
-	end, term := w.scope(body, body.List, st.clone())
+	end, term = w.scope(body, body.List, st)
 	if t.cont != nil {
 		end, term = join(end, term, *t.cont, false)
 	}
 	if !term {
 		end, _ = w.stmt(post, end)
-		st = st.merge(end)
 	}
-	return w.leave(t, st, false)
+	return t, end, term
 }
 
 // clauses forks st into each case or comm clause and joins the paths that

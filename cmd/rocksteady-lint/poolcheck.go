@@ -106,12 +106,14 @@ func runPoolcheck(pass *Pass) {
 			},
 			scopeEnd: pc.scopeEnd,
 		}
+		pc.quiet = w.quiet
 		w.walkFunc(body, make(poolState))
 	})
 }
 
 type poolChecker struct {
-	pass *Pass
+	pass  *Pass
+	quiet func() bool // the walker's silent pass: report nothing
 	// reported holds the acquisitions (by Get call position) already
 	// diagnosed, so each Get is reported at most once across forked states.
 	reported map[token.Pos]bool
@@ -119,7 +121,7 @@ type poolChecker struct {
 
 // report emits one diagnostic per acquisition.
 func (pc *poolChecker) report(v *poolVar, pos token.Pos, format string, args ...any) {
-	if !pc.reported[v.getPos] {
+	if !pc.quiet() && !pc.reported[v.getPos] {
 		pc.reported[v.getPos] = true
 		pc.pass.Reportf(pos, format, args...)
 	}
@@ -267,7 +269,7 @@ func (pc *poolChecker) escapeOrUse(e ast.Expr, st poolState) {
 
 // useCheck flags a use of a possibly-released value.
 func (pc *poolChecker) useCheck(pos token.Pos, obj types.Object, v *poolVar) {
-	if v.status&poolReleased != 0 {
+	if v.status&poolReleased != 0 && !pc.quiet() {
 		pc.pass.Reportf(pos, "%s is used after wire.Release%s returned it to the pool", obj.Name(), releaseSuffix(v.get))
 	}
 }

@@ -138,7 +138,7 @@ func collectSeq(pkgs []*Package, facts *ModuleFacts) {
 				}
 			}
 		}
-		pw := &seqPairWalker{sc: sc, pkg: pkg, report: pkgReport}
+		pw := &seqPairWalker{sc: sc, pkg: pkg}
 		w := &pathWalker[secSet]{
 			expr:      pw.expr,
 			deferStmt: pw.deferStmt,
@@ -151,6 +151,11 @@ func collectSeq(pkgs []*Package, facts *ModuleFacts) {
 				}
 				pw.checkExit(at, state)
 			},
+		}
+		pw.report = func(pos token.Pos, format string, args ...any) {
+			if !w.quiet() {
+				pkgReport(pos, format, args...)
+			}
 		}
 		// Function literals run on their own frames with no section open.
 		forEachFunc(pkg.Files, func(body *ast.BlockStmt) { w.walkFunc(body, make(secSet)) })

@@ -140,6 +140,26 @@ func (g *guarded) badBreakKeepsLock(k int) {
 	g.ch <- 10 // want:lockhold "channel send while mu is held"
 }
 
+// The lock taken at the bottom of one iteration is still held at the top
+// of the next, where the send runs.
+func (g *guarded) badLockCarriedIntoNextIteration(n int) {
+	for i := 0; i < n; i++ {
+		g.ch <- i // want:lockhold "channel send while mu is held"
+		g.mu.Lock()
+	}
+	g.mu.Unlock()
+}
+
+// Every iteration releases what it takes: the next one starts unlocked.
+func (g *guarded) okLockReleasedEachIteration(n int) {
+	for i := 0; i < n; i++ {
+		g.ch <- i
+		g.mu.Lock()
+		g.val++
+		g.mu.Unlock()
+	}
+}
+
 func (g *guarded) okIgnored() {
 	g.mu.Lock()
 	//lint:ignore lockhold fixture exercises the escape hatch

@@ -436,6 +436,72 @@ func TestFaultScenarioCrashRestartRejoin(t *testing.T) {
 	}
 }
 
+// TestFaultScenarioRecoveryInstallDropped crashes a master that owns
+// three tablets (two splits) in a cluster with two live recovery masters,
+// which install their tablets concurrently, and loses the first
+// TakeTablets request on the way. The coordinator's retry must cover the
+// loss: recovery finishes, every tablet lands on a live master, both
+// masters take part, and every key reads back.
+func TestFaultScenarioRecoveryInstallDropped(t *testing.T) {
+	net := faultinject.NewNetwork(1)
+	c := testCluster(t, Config{
+		Servers: 3, ReplicationFactor: 2,
+		Faults:     net,
+		RPCTimeout: 500 * time.Millisecond,
+	})
+	cl := c.MustClient()
+	table, err := cl.CreateTable(context.Background(), "t", c.Server(0).ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, values := loadN(t, c, table, 900)
+	for _, r := range wire.FullRange().Split(3)[1:] {
+		reply, err := cl.Node().Call(context.Background(), wire.CoordinatorID, wire.PriorityForeground,
+			&wire.SplitTabletRequest{Table: table, SplitAt: r.Start})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := reply.(*wire.SplitTabletResponse); resp.Status != wire.StatusOK {
+			t.Fatalf("split at %#x: %v", r.Start, resp.Status)
+		}
+	}
+
+	net.DropNext(wire.OpTakeTablets, 1)
+	dead := c.Server(0).ID()
+	c.Crash(0)
+	if err := cl.ReportCrash(context.Background(), dead); err != nil {
+		t.Fatal(err)
+	}
+	c.Coordinator.WaitForRecoveries()
+	if got := net.Stats().Dropped.Load(); got != 1 {
+		t.Fatalf("dropped %d messages, want the one TakeTablets", got)
+	}
+
+	reply, err := cl.Node().Call(context.Background(), wire.CoordinatorID, wire.PriorityForeground, &wire.GetTabletMapRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	masters := map[wire.ServerID]int{}
+	for _, tb := range reply.(*wire.GetTabletMapResponse).Tablets {
+		if tb.Table != table {
+			continue
+		}
+		if tb.Master == dead {
+			t.Fatalf("tablet %v still on the crashed master", tb.Range)
+		}
+		masters[tb.Master]++
+	}
+	if len(masters) != 2 {
+		t.Fatalf("tablets per recovery master %v, want three tablets over both live masters", masters)
+	}
+	for i, k := range keys {
+		v, err := cl.Read(context.Background(), table, k)
+		if err != nil || !bytes.Equal(v, values[i]) {
+			t.Fatalf("key %s after recovery: %q, %v", k, v, err)
+		}
+	}
+}
+
 // TestFaultScenarioClientDeadlineAbortsMigration: a MigrateTablet issued
 // under a client deadline hands that deadline to the whole pull chain
 // (client → target → source). With the fabric throttled so the transfer

@@ -11,6 +11,7 @@ import (
 	"log"
 	"sort"
 	"sync"
+	"time"
 
 	"rocksteady/internal/recovery"
 	"rocksteady/internal/transport"
@@ -412,10 +413,12 @@ func (c *Coordinator) recoverServer(ctx context.Context, crashed wire.ServerID) 
 		return fmt.Errorf("no live servers to recover onto")
 	}
 
+	start := time.Now()
 	crashedSegs, err := c.fetchBackupSegments(ctx, crashed, live)
 	if err != nil {
 		return err
 	}
+	fetched := time.Now()
 
 	// Resolve migrations the crashed server participated in.
 	for _, d := range involved {
@@ -462,6 +465,7 @@ func (c *Coordinator) recoverServer(ctx context.Context, crashed wire.ServerID) 
 			}
 		}
 	}
+	lineage := time.Now()
 
 	// Normal recovery for the crashed server's own tablets. Ranges already
 	// resolved by a lineage dependency above are excluded: when the crashed
@@ -471,6 +475,7 @@ func (c *Coordinator) recoverServer(ctx context.Context, crashed wire.ServerID) 
 	// would ship deletion-folded records after ownership reverted and
 	// traffic resumed — a post-revert delete leaves no hash-table entry to
 	// version-fence against, so the stale copy would resurrect the key.
+	var installs []install
 	for i, t := range ownTablets {
 		resolved := false
 		for _, d := range involved {
@@ -481,22 +486,75 @@ func (c *Coordinator) recoverServer(ctx context.Context, crashed wire.ServerID) 
 				break
 			}
 		}
-		if resolved {
-			continue
-		}
-		rep := recovery.NewReplayer(rangeFilter(t.Table, t.Range))
-		rep.AddBackupSegments(crashedSegs)
-		// Tombstones ship here too: the chosen master may still hold stale
-		// pre-migration copies of this range (a source whose DropTablet was
-		// lost after the migration committed). On a fresh master parking
-		// them is a no-op; on a stale one they are the only fence.
-		records, ceiling := rep.LiveWithTombstones()
-		master := c.pickRecoveryMaster(live, i)
-		if err := c.installTablet(ctx, t.Table, t.Range, master, records, ceiling); err != nil {
-			return err
+		if !resolved {
+			installs = append(installs, install{table: t.Table, rng: t.Range, master: c.pickRecoveryMaster(live, i)})
 		}
 	}
-	return nil
+	// One replay serves every tablet: each entry is parsed and hashed once,
+	// and each tablet's records are a contiguous run of the sorted output.
+	// Its ceiling is the master-wide one, at least every tablet's own.
+	rep := recovery.NewReplayer(nil)
+	if len(installs) > 0 {
+		rep.AddBackupSegments(crashedSegs)
+		// Tombstones ship here too: the chosen master may still hold stale
+		// pre-migration copies of this range (a source whose DropTablet
+		// was lost after the migration committed). On a fresh master
+		// parking them is a no-op; on a stale one they are the only fence.
+		sorted := rep.Sorted(true)
+		for i := range installs {
+			installs[i].records = sorted.Tablet(installs[i].table, installs[i].rng)
+			installs[i].ceiling = sorted.Ceiling
+		}
+	}
+	replayed := time.Now()
+	err = c.installAll(ctx, installs)
+	c.Logf("coordinator: recovery of %v: %d tablets, %d replicas, %d bytes replayed (%d entries); fetch %v, lineage %v, replay %v, install %v",
+		crashed, len(installs), len(crashedSegs), rep.Bytes, rep.Entries,
+		fetched.Sub(start), lineage.Sub(fetched), replayed.Sub(lineage), time.Since(replayed))
+	return err
+}
+
+// install is one tablet's recovered records bound for its new master.
+type install struct {
+	table   wire.TableID
+	rng     wire.HashRange
+	master  wire.ServerID
+	records []wire.Record
+	ceiling uint64
+}
+
+// installAll runs the installs with one goroutine per master: masters
+// replay concurrently, but each takes its tablets one after another, in
+// the given order. It returns the first error; a master's goroutine stops
+// at its first failed install.
+func (c *Coordinator) installAll(ctx context.Context, installs []install) error {
+	byMaster := make(map[wire.ServerID][]install)
+	for _, in := range installs {
+		byMaster[in.master] = append(byMaster[in.master], in)
+	}
+	var (
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+	)
+	for _, ins := range byMaster {
+		wg.Add(1)
+		go func(ins []install) {
+			defer wg.Done()
+			for _, in := range ins {
+				if err := c.installTablet(ctx, in.table, in.rng, in.master, in.records, in.ceiling); err != nil {
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = fmt.Errorf("install (%v, %v) on %v: %w", in.table, in.rng, in.master, err)
+					}
+					errMu.Unlock()
+					return
+				}
+			}
+		}(ins)
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // recoverMasterCold rebuilds one master's data from the backup segment
@@ -526,26 +584,23 @@ func (c *Coordinator) recoverMasterCold(ctx context.Context, req *wire.RecoverMa
 	rep.AddBackupSegments(segs)
 	// Tombstones included: a twice-recovered master may already hold
 	// older copies of deleted keys; the tombstones are the fence.
-	records, ceiling := rep.LiveWithTombstones()
+	sorted := rep.Sorted(true)
 	resp := &wire.RecoverMasterResponse{Status: wire.StatusOK, Segments: uint64(len(segs))}
+	var installs []install
 	for _, t := range tablets {
-		var recs []wire.Record
-		for _, r := range records {
-			if r.Table == t.Table && t.Range.Contains(wire.HashKey(r.Key)) {
-				recs = append(recs, r)
-			}
-		}
+		recs := sorted.Tablet(t.Table, t.Range)
 		if len(recs) == 0 {
 			continue
 		}
-		if err := c.installTablet(ctx, t.Table, t.Range, t.Master, recs, ceiling); err != nil {
-			c.Logf("coordinator: cold recovery of %v: install (%v, %v): %v", req.Master, t.Table, t.Range, err)
-			resp.Status = wire.StatusInternalError
-			return resp
-		}
+		installs = append(installs, install{table: t.Table, rng: t.Range, master: t.Master, records: recs, ceiling: sorted.Ceiling})
 		resp.Records += uint64(len(recs))
 	}
-	if resp.Records < uint64(len(records)) {
+	if err := c.installAll(ctx, installs); err != nil {
+		c.Logf("coordinator: cold recovery of %v: %v", req.Master, err)
+		resp.Status = wire.StatusInternalError
+		return resp
+	}
+	if resp.Records < uint64(len(sorted.Records)) {
 		// Some records had no home tablet: a table was not recreated.
 		resp.Status = wire.StatusNoSuchTable
 	}

@@ -112,6 +112,7 @@ type Network struct {
 	seqs    map[link]uint64
 	held    map[link]*wire.Message // reorder slots
 	blocked map[block]bool         // one-way partitions
+	dropOps map[wire.Op]int        // requests of an op still to drop (DropNext)
 	trigs   []*trigger
 	total   uint64 // messages offered to wrapped endpoints
 
@@ -125,6 +126,7 @@ func NewNetwork(seed uint64) *Network {
 		seqs:    make(map[link]uint64),
 		held:    make(map[link]*wire.Message),
 		blocked: make(map[block]bool),
+		dropOps: make(map[wire.Op]int),
 		stats: Stats{
 			Sent:       metrics.NewCounter("faults.sent"),
 			Dropped:    metrics.NewCounter("faults.dropped"),
@@ -180,6 +182,15 @@ func (n *Network) BlockOp(from, to wire.ServerID, op wire.Op, blocked bool) {
 	} else {
 		delete(n.blocked, block{link{from, to}, op})
 	}
+	n.mu.Unlock()
+}
+
+// DropNext discards the next count requests of op, on any link, whatever
+// the plan. A test uses it to lose one particular RPC — say, one recovery
+// install — and watch the caller's retry cover it.
+func (n *Network) DropNext(op wire.Op, count int) {
+	n.mu.Lock()
+	n.dropOps[op] += count
 	n.mu.Unlock()
 }
 
@@ -262,6 +273,15 @@ func (n *Network) decide(m *wire.Message) verdict {
 			go fn()
 		}
 		n.stats.Blocked.Inc()
+		return verdict{drop: true}
+	}
+	if !m.IsResponse && n.dropOps[m.Op] > 0 {
+		n.dropOps[m.Op]--
+		n.mu.Unlock()
+		for _, fn := range fire {
+			go fn()
+		}
+		n.stats.Dropped.Inc()
 		return verdict{drop: true}
 	}
 	p := n.plan

@@ -175,6 +175,23 @@ func TestBlockOpCutsOnlyThatOp(t *testing.T) {
 	}
 }
 
+func TestDropNextDropsOnlyThatManyRequests(t *testing.T) {
+	net := NewNetwork(1)
+	stub := newStub(3)
+	ep := net.Wrap(stub)
+	net.DropNext(wire.OpPull, 1)
+	_ = ep.Send(&wire.Message{ID: 1, To: 7, Op: wire.OpPull, IsResponse: true, Body: &wire.PullResponse{}})
+	_ = ep.Send(ping(2, 7, false))
+	_ = ep.Send(&wire.Message{ID: 3, To: 7, Op: wire.OpPull, Body: &wire.PullRequest{}})
+	_ = ep.Send(&wire.Message{ID: 4, To: 7, Op: wire.OpPull, Body: &wire.PullRequest{}})
+	if ids := stub.sentIDs(); len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 4 {
+		t.Fatalf("delivered %v, want all but the first Pull request", ids)
+	}
+	if got := net.Stats().Dropped.Load(); got != 1 {
+		t.Fatalf("dropped %d, want 1", got)
+	}
+}
+
 func TestDuplicationOnlyOnResponsesAndDeepCopies(t *testing.T) {
 	net := NewNetwork(1)
 	stub := newStub(3)
