@@ -99,13 +99,13 @@ func fig15Source(p Params, valueSize, threads int) (Fig15Point, error) {
 				for {
 					used := 0
 					batch = batch[:0]
-					next, done := ht.ScanRange(1, parts[t], token, func(ref storage.Ref) bool {
-						rec, err := ref.Record()
+					next, done := ht.ScanRange(1, parts[t], token, func(ref storage.Ref, h storage.EntryHeader) bool {
+						rec, err := ref.RecordWith(h)
 						if err != nil {
 							return true
 						}
 						batch = append(batch, rec)
-						used += rec.WireSize()
+						used += wire.RecordSize(len(rec.Key), len(rec.Value))
 						return used < 20<<10
 					})
 					local += int64(used)

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"rocksteady/internal/client"
 	"rocksteady/internal/faultinject"
 	"rocksteady/internal/transport"
 	"rocksteady/internal/wire"
@@ -68,12 +69,15 @@ func TestChaosMigrationsVsOperations(t *testing.T) {
 				wl := newFaultWorkload(t, c, table, 900, 3, seed)
 				wl.deleteCut, wl.writeCut = tc.deleteCut, tc.writeCut
 				stopWatch := watchOwnership(t, c)
+				// Attached before the plan is armed: a dropped map fetch
+				// would fail the attach itself.
+				mcl := c.MustClient()
 				wl.start()
 				if net != nil {
 					net.SetPlan(tc.plan)
 				}
 
-				migrated := runChaosMigrations(t, c, net, table, tc.migrations, seed)
+				migrated := runChaosMigrations(t, c, mcl, net, table, tc.migrations, seed)
 
 				if net != nil {
 					net.ClearPlan()
@@ -121,11 +125,10 @@ func TestChaosMigrationsVsOperations(t *testing.T) {
 // the operator remedy (convergeMigration) is applied and the chaos stops
 // there — the workload and audit still judge the aftermath. Returns the
 // number of migrations that completed cleanly.
-func runChaosMigrations(t *testing.T, c *Cluster, net *faultinject.Network, table wire.TableID, migrations int, seed uint64) int {
+func runChaosMigrations(t *testing.T, c *Cluster, mcl *client.Client, net *faultinject.Network, table wire.TableID, migrations int, seed uint64) int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(seed) ^ 0x5ca1ab1e))
 	parts := wire.FullRange().Split(migrations)
-	mcl := c.MustClient()
 	done := 0
 	for mi, p := range parts {
 		ownerIdx := -1

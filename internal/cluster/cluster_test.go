@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -177,6 +178,75 @@ func TestRocksteadyMigrationMovesEverything(t *testing.T) {
 	// The lineage dependency must be gone.
 	if deps := c.Coordinator.Dependencies(); len(deps) != 0 {
 		t.Errorf("dangling dependencies: %+v", deps)
+	}
+}
+
+// TestMigrationFailsOnCorruptEntry: a source entry that fails its checksum
+// fails the migration instead of being left out of it, and the source
+// keeps the record.
+func TestMigrationFailsOnCorruptEntry(t *testing.T) {
+	c := testCluster(t, Config{Servers: 2})
+	cl := c.MustClient()
+	table, err := cl.CreateTable(context.Background(), "t", c.Server(0).ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, _ := loadN(t, c, table, 100)
+	key, hash := keys[37], wire.HashKey(keys[37])
+	ref, ok := c.Server(0).HashTable().Get(table, key, hash)
+	if !ok {
+		t.Fatal("loaded key missing at the source")
+	}
+	size := ref.Size()
+	ref.Seg.Data(int(ref.Off), int(ref.Off)+size)[size-1] ^= 0xff
+
+	g, err := c.Migrate(context.Background(), table, wire.FullRange(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := g.Wait(); res.Err == nil {
+		t.Fatalf("migration over a corrupt entry succeeded: %v", res)
+	}
+	if _, ok := c.Server(0).HashTable().Get(table, key, hash); !ok {
+		t.Fatal("the source dropped the record whose copy never arrived")
+	}
+}
+
+// TestMigrationPhaseLedger: a finished migration accounts for its wall
+// time by phase; every phase is non-negative and together they take no
+// longer than the migration.
+func TestMigrationPhaseLedger(t *testing.T) {
+	c := testCluster(t, Config{Servers: 2})
+	cl := c.MustClient()
+	table, err := cl.CreateTable(context.Background(), "t", c.Server(0).ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadN(t, c, table, 2000)
+	g, err := c.Migrate(context.Background(), table, wire.FullRange(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := g.Wait()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	phases := []time.Duration{res.Prologue, res.Pull, res.Rereplication, res.Epilogue}
+	var sum time.Duration
+	for _, p := range phases {
+		if p < 0 {
+			t.Fatalf("negative phase in %v", res)
+		}
+		sum += p
+	}
+	if sum > res.Duration() {
+		t.Fatalf("phases sum to %v, more than the migration's %v", sum, res.Duration())
+	}
+	if res.Pull <= 0 {
+		t.Fatalf("no pull phase recorded: %v", res)
+	}
+	if !strings.Contains(res.String(), "pull ") {
+		t.Fatalf("String() leaves the phases out: %q", res)
 	}
 }
 

@@ -246,13 +246,15 @@ func TestFaultScenarioCoordinatorChurnDuringPulls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Attached before the plan is armed: a dropped map fetch would
+		// fail the attach itself.
+		ccl := c.MustClient()
 		net.SetPlan(faultPlan())
 		wl.start()
 
 		// View churn while pulls run. Individual churn RPCs may be eaten by
 		// the fault plan — that is the point; the invariant poller and the
 		// final audit judge the outcome, not these statuses.
-		ccl := c.MustClient()
 		for i := 0; i < 6; i++ {
 			splitAt := quarters[0].Start + uint64(i+1)*(quarters[0].End-quarters[0].Start)/8
 			_, _ = ccl.Node().Call(context.Background(), wire.CoordinatorID, wire.PriorityForeground,
@@ -790,10 +792,12 @@ func TestFaultScenarioCoordinatorChurnDuringRebalance(t *testing.T) {
 		reb := coordinator.NewRebalancer(c.Coordinator, coordinator.RebalancerConfig{}, hs, nil, nil)
 		reb.Enable()
 
+		// Attached before the plan is armed: a dropped map fetch would
+		// fail the attach itself.
+		ccl := c.MustClient()
 		net.SetPlan(faultPlan())
 		wl.start()
 
-		ccl := c.MustClient()
 		quarter := wire.FullRange().Split(4)[0]
 		for i := 0; i < 6; i++ {
 			if i == 3 {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,6 +53,12 @@ func faultSeeds(t *testing.T) []uint64 {
 // forEachFaultSeed runs the scenario once per seed as a subtest. Every
 // fault decision in the run derives from the seed, so a failure's log
 // line is a complete reproduction recipe.
+//
+// A panic in the scenario is recovered and reported as the seed's
+// failure, with its stack. Left to unwind, it would end the test binary
+// with every goroutine's stack printed after the test output, and the
+// replay line, time-derived seed included, would sit somewhere above
+// them; reported, the panic comes first and the replay line last.
 func forEachFaultSeed(t *testing.T, run func(t *testing.T, seed uint64)) {
 	for _, seed := range faultSeeds(t) {
 		seed := seed
@@ -62,6 +69,11 @@ func forEachFaultSeed(t *testing.T, run func(t *testing.T, seed uint64)) {
 						seed, t.Name())
 				}
 			})
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("panic: %v\n%s", r, debug.Stack())
+				}
+			}()
 			run(t, seed)
 		})
 	}

@@ -252,3 +252,32 @@ func TestFailIdempotent(t *testing.T) {
 		t.Fatalf("recorded error %v, want first failure", got)
 	}
 }
+
+// TestDrainWaitsForSyncPriorityPull: a synchronous PriorityPull that
+// passed its check before the background pulls finished is replayed
+// before the epilogue commits the side logs it replays into.
+func TestDrainWaitsForSyncPriorityPull(t *testing.T) {
+	m, _ := newManagerRig(t, Options{SyncPriorityPulls: true})
+	g := newMigration(context.Background(), m, 1, wire.FullRange(), 99)
+	g.ppMu.Lock()
+	g.ppSyncInflight++ // a pull past requestPriorityPull's check
+	g.ppPulled = true
+	g.ppMu.Unlock()
+
+	drained := make(chan struct{})
+	go func() {
+		g.drainPriorityPulls()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+		t.Fatal("drain returned with a synchronous PriorityPull in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.syncPriorityPullDone()
+	select {
+	case <-drained:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the finished PriorityPull did not wake the drain")
+	}
+}

@@ -176,6 +176,17 @@ type Result struct {
 	Started  time.Time
 	Finished time.Time
 
+	// The phase ledger splits Duration: Prologue until the pulls start
+	// (prepare, ownership transfer), Pull until every pulled and
+	// PriorityPulled record is replayed, Rereplication the side logs'
+	// lazy re-replication, and Epilogue the rest (side-log commit,
+	// dependency drop, source drop, tombstone sweep). A phase the
+	// migration never reached is zero.
+	Prologue      time.Duration
+	Pull          time.Duration
+	Rereplication time.Duration
+	Epilogue      time.Duration
+
 	RecordsPulled       int64
 	BytesPulled         int64
 	PullRPCs            int64
@@ -199,7 +210,18 @@ func (r Result) RateMBps() float64 {
 }
 
 func (r Result) String() string {
-	return fmt.Sprintf("migrated %d records (%.1f MB) in %v (%.1f MB/s, %d pulls, %d prio-pulls)",
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	return fmt.Sprintf("migrated %d records (%.1f MB) in %v (%.1f MB/s, %d pulls, %d prio-pulls; "+
+		"prologue %.1f ms, pull %.1f ms, re-replication %.1f ms, epilogue %.1f ms)",
 		r.RecordsPulled, float64(r.BytesPulled)/1e6, r.Duration().Round(time.Millisecond),
-		r.RateMBps(), r.PullRPCs, r.PriorityPullRPCs)
+		r.RateMBps(), r.PullRPCs, r.PriorityPullRPCs,
+		ms(r.Prologue), ms(r.Pull), ms(r.Rereplication), ms(r.Epilogue))
+}
+
+// span is to − from, or zero unless both instants were recorded.
+func span(from, to time.Time) time.Duration {
+	if from.IsZero() || to.IsZero() {
+		return 0
+	}
+	return to.Sub(from)
 }

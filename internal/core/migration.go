@@ -60,15 +60,23 @@ type Migration struct {
 	ppInflight map[uint64]struct{}
 	ppMissing  map[uint64]struct{}
 	ppActive   bool
-	ppDrained  *sync.Cond
+	// ppSyncInflight counts synchronous PriorityPulls (SyncPriorityPulls)
+	// not yet replayed.
+	ppSyncInflight int
+	ppDrained      *sync.Cond
 	// ppPulled is set once every background Pull has been replayed: from
 	// then on a key absent here is absent at the source too, so no
 	// PriorityPull may start and replay into side logs the epilogue is
 	// committing.
 	ppPulled bool
 
-	started  time.Time
-	finished time.Time
+	// The phase boundaries of the Result's ledger: started, pulling
+	// (run begins), pulled (complete begins), rereplicated, finished.
+	started      time.Time
+	pulling      time.Time
+	pulled       time.Time
+	rereplicated time.Time
+	finished     time.Time
 
 	recordsPulled       atomic.Int64
 	bytesPulled         atomic.Int64
@@ -127,6 +135,10 @@ func (g *Migration) Result() Result {
 	r := Result{
 		Table: g.Table, Range: g.Range, Source: g.Source,
 		Started: g.started, Finished: g.finished,
+		Prologue:            span(g.started, g.pulling),
+		Pull:                span(g.pulling, g.pulled),
+		Rereplication:       span(g.pulled, g.rereplicated),
+		Epilogue:            span(g.rereplicated, g.finished),
 		RecordsPulled:       g.recordsPulled.Load(),
 		BytesPulled:         g.bytesPulled.Load(),
 		PullRPCs:            g.pullRPCs.Load(),
@@ -298,6 +310,7 @@ func (g *Migration) ownershipTransferred() (transferred, known bool) {
 // "asynchronous continuation" (§3.1.2), here a goroutine that owns the
 // scoreboard of per-partition Pulls.
 func (g *Migration) run() {
+	g.pulling = time.Now()
 	defer g.complete()
 	if g.opts.DisableBackgroundPulls {
 		// PriorityPull-only mode (Figures 13/14): wait until cancelled or
@@ -431,72 +444,32 @@ func (g *Migration) returnSideLog(sl *storage.SideLog) {
 
 // replayRecords incorporates one batch into the target: append to a side
 // log (or the main log under the ablation/retain variants) and link into
-// the hash table with newest-wins semantics. Runs on any idle worker.
+// the hash table with newest-wins semantics (storage.Log.Replay). Runs on
+// any idle worker. A deletion (tail catch-up in the retain-ownership
+// variant) is parked in the hash table as a tombstone so any stale copy of
+// the record loses the version race. Only records that took effect count
+// towards RecordsPulled: a bulk-Pull copy of a record a PriorityPull already
+// delivered (or a version below a client write above the ceiling) loses
+// the race and is dead on arrival, so each version lands at most once and
+// the total is deterministic however pulls interleave.
 func (g *Migration) replayRecords(records []wire.Record) {
 	srv := g.mgr.srv
-	var sl *storage.SideLog
-	useSideLogs := !g.opts.DisableSideLogs && !g.opts.SyncRereplication
-	if useSideLogs {
-		sl = g.takeSideLog()
-		defer g.returnSideLog(sl)
+	var res storage.ReplayResult
+	var err error
+	if !g.opts.DisableSideLogs && !g.opts.SyncRereplication {
+		sl := g.takeSideLog()
+		res, err = sl.Replay(srv.HashTable(), records, storage.ReplayOptions{})
+		g.returnSideLog(sl)
+	} else {
+		// Main-log replay: synchronous re-replication variants need the
+		// records on the replicated log; the side-log ablation shows the
+		// head contention this causes.
+		res, err = srv.Log().Replay(0, srv.HashTable(), records, storage.ReplayOptions{})
 	}
-	var n, bytes int64
-	for i := range records {
-		rec := &records[i]
-		if rec.Tombstone {
-			// Deletions (tail catch-up in the retain-ownership variant):
-			// park the tombstone in the hash table so any stale copy of
-			// the record loses the version race.
-			var tref storage.Ref
-			var err error
-			srv.ParkTombstone()
-			if useSideLogs {
-				tref, err = sl.AppendTombstone(rec.Table, rec.Version, rec.Key)
-			} else {
-				tref, err = srv.Log().Append(0, storage.EntryTombstone, rec.Table, rec.Version, 0, rec.Key, nil)
-			}
-			if err != nil {
-				g.fail(err)
-				return
-			}
-			hash := wire.HashKey(rec.Key)
-			if prev, stored := srv.HashTable().PutIfNewer(rec.Table, rec.Key, hash, tref, rec.Version); stored {
-				storage.MarkDeadRef(prev)
-			} else {
-				storage.MarkDeadRef(tref)
-			}
-			continue
-		}
-		var ref storage.Ref
-		var err error
-		if useSideLogs {
-			ref, err = sl.Append(rec.Table, rec.Version, rec.Key, rec.Value)
-		} else {
-			// Main-log replay: synchronous re-replication variants need
-			// the records on the replicated log; the side-log ablation
-			// shows the head contention this causes.
-			ref, err = srv.Log().Append(0, storage.EntryObject, rec.Table, rec.Version, 0, rec.Key, rec.Value)
-		}
-		if err != nil {
-			g.fail(err)
-			return
-		}
-		hash := wire.HashKey(rec.Key)
-		if prev, stored := srv.HashTable().PutIfNewer(rec.Table, rec.Key, hash, ref, rec.Version); stored {
-			storage.MarkDeadRef(prev)
-			// Count only records that took effect: a bulk-Pull copy of a
-			// record a PriorityPull already delivered (or a version below a
-			// client write above the ceiling) loses the race here and must
-			// not inflate Records — each version lands at most once, so the
-			// total is deterministic however pulls interleave.
-			n++
-			bytes += int64(rec.WireSize())
-		} else {
-			// A newer-or-equal version beat us here (a client write above
-			// the ceiling, or a PriorityPull'd copy): the replayed bytes are
-			// immediately dead.
-			storage.MarkDeadRef(ref)
-		}
+	srv.ParkTombstones(res.Tombstones)
+	if err != nil {
+		g.fail(err)
+		return
 	}
 	if g.opts.SyncRereplication {
 		if err := srv.Replicator().Sync(g.ctx); err != nil {
@@ -504,8 +477,8 @@ func (g *Migration) replayRecords(records []wire.Record) {
 			return
 		}
 	}
-	g.recordsPulled.Add(n)
-	g.bytesPulled.Add(bytes)
+	g.recordsPulled.Add(res.Stored)
+	g.bytesPulled.Add(res.StoredBytes)
 }
 
 // complete runs the migration epilogue: lazy re-replication of side logs,
@@ -513,6 +486,7 @@ func (g *Migration) replayRecords(records []wire.Record) {
 // cleanup (§3.4).
 func (g *Migration) complete() {
 	srv := g.mgr.srv
+	g.pulled = time.Now()
 	defer func() {
 		g.finished = time.Now()
 		g.mgr.finish(g)
@@ -538,6 +512,8 @@ func (g *Migration) complete() {
 	}
 
 	if g.opts.SourceRetainsOwnership {
+		// Re-replication was synchronous, inside the pull phase.
+		g.rereplicated = g.pulled
 		g.completeRetainOwnership()
 		return
 	}
@@ -555,6 +531,7 @@ func (g *Migration) complete() {
 		g.fail(err)
 		return
 	}
+	g.rereplicated = time.Now()
 	for _, sl := range sideLogs {
 		if err := sl.Commit(); err != nil {
 			g.fail(err)

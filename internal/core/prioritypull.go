@@ -17,6 +17,13 @@ func (g *Migration) requestPriorityPull(hash uint64) (retryMicros uint32, knownM
 		g.ppMu.Unlock()
 		return 0, true
 	}
+	syncPull := g.opts.SyncPriorityPulls && !g.opts.DisablePriorityPulls
+	if syncPull {
+		// Counted under the lock ppPulled is set under, so the drain
+		// before the epilogue waits for this pull's replay: replayed
+		// later, it would find the side logs committed.
+		g.ppSyncInflight++
+	}
 	g.ppMu.Unlock()
 
 	if g.opts.DisablePriorityPulls {
@@ -24,7 +31,8 @@ func (g *Migration) requestPriorityPull(hash uint64) (retryMicros uint32, knownM
 		// delivers the record.
 		return g.opts.RetryHintMicros, false
 	}
-	if g.opts.SyncPriorityPulls {
+	if syncPull {
+		defer g.syncPriorityPullDone()
 		return g.syncPriorityPull(hash)
 	}
 
@@ -84,6 +92,15 @@ func (g *Migration) syncPriorityPull(hash uint64) (uint32, bool) {
 		}
 	}
 	return 0, false
+}
+
+// syncPriorityPullDone retires a synchronous PriorityPull counted in
+// requestPriorityPull and wakes drainPriorityPulls.
+func (g *Migration) syncPriorityPullDone() {
+	g.ppMu.Lock()
+	g.ppSyncInflight--
+	g.ppDrained.Broadcast()
+	g.ppMu.Unlock()
 }
 
 // priorityPullLoop runs while client-requested hashes are pending: it
@@ -165,8 +182,9 @@ func (g *Migration) clearInflight(batch []uint64) {
 	g.ppMu.Unlock()
 }
 
-// drainPriorityPulls waits for the loop to go idle before the migration
-// epilogue (every client-visible promise resolved). A single condition wait
+// drainPriorityPulls waits for the loop to go idle, and for synchronous
+// PriorityPulls to finish, before the migration epilogue (every
+// client-visible promise resolved). A single condition wait
 // covers both the active loop and straggler reads that queued hashes after
 // the loop exited: requestPriorityPull restarts the loop whenever it queues
 // a hash, and the loop broadcasts on every exit. Cancellation also wakes the
@@ -174,7 +192,7 @@ func (g *Migration) clearInflight(batch []uint64) {
 // hangs here.
 func (g *Migration) drainPriorityPulls() {
 	g.ppMu.Lock()
-	for g.ctx.Err() == nil && (g.ppActive || len(g.ppQueued) > 0) {
+	for g.ctx.Err() == nil && (g.ppActive || len(g.ppQueued) > 0 || g.ppSyncInflight > 0) {
 		g.ppDrained.Wait()
 	}
 	g.ppMu.Unlock()

@@ -117,7 +117,7 @@ func (r *scaleRig) startMigrationLoad() func() {
 			default:
 			}
 			var n int
-			next, done := r.srv.ht.ScanRange(1, wire.FullRange(), token, func(ref storage.Ref) bool {
+			next, done := r.srv.ht.ScanRange(1, wire.FullRange(), token, func(storage.Ref, storage.EntryHeader) bool {
 				n++
 				return n < 512 // paper-sized pull batches
 			})

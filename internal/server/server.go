@@ -157,7 +157,7 @@ type Server struct {
 	sweeps  []*rangeSweep
 
 	// parkedTombstones counts deletions parked in the hash table of a
-	// migrating-in range (ParkTombstone).
+	// migrating-in range (ParkTombstones).
 	parkedTombstones atomic.Uint64
 
 	migration atomic.Pointer[MigrationHandler]
@@ -331,11 +331,12 @@ func (s *Server) ShedCounts() (total int64, perPriority [wire.NumPriorities]int6
 // first): per-request queue-wait vs service time, keyed by trace id.
 func (s *Server) TraceSpans() []metrics.Span { return s.sched.Trace().Snapshot() }
 
-// ParkTombstone counts a deletion about to be parked in the hash table of
-// a migrating-in range. Migrations read the count (ParkedTombstones) to
+// ParkTombstones counts n deletions parked in the hash table of a
+// migrating-in range. Migrations read the count (ParkedTombstones) to
 // skip the epilogue's tombstone sweep when none was parked since they
-// began.
-func (s *Server) ParkTombstone() { s.parkedTombstones.Add(1) }
+// began; a migration counts its own replay's tombstones before that
+// epilogue runs.
+func (s *Server) ParkTombstones(n int64) { s.parkedTombstones.Add(uint64(n)) }
 
 // ParkedTombstones returns how many deletions were ever parked here.
 func (s *Server) ParkedTombstones() uint64 { return s.parkedTombstones.Load() }
@@ -624,7 +625,7 @@ func (s *Server) deleteDuringMigration(ctx context.Context, st *statShard, req *
 	if err != nil {
 		return &wire.DeleteResponse{Status: wire.StatusInternalError}
 	}
-	s.ParkTombstone()
+	s.ParkTombstones(1)
 	if old, existed := s.ht.Put(req.Table, req.Key, hash, ref); existed {
 		s.log.MarkDead(old)
 	}
@@ -771,22 +772,34 @@ func (s *Server) handlePull(st *statShard, req *wire.PullRequest) *wire.PullResp
 	resp := &wire.PullResponse{Status: wire.StatusOK, Records: wire.GetRecordSlice()}
 	budget := int(req.ByteBudget)
 	used := 0
-	next, done := s.ht.ScanRange(req.Table, req.Range, req.ResumeToken, func(ref storage.Ref) bool {
-		rec, err := ref.Record()
+	corrupt := false
+	next, done := s.ht.ScanRange(req.Table, req.Range, req.ResumeToken, func(ref storage.Ref, h storage.EntryHeader) bool {
+		rec, err := ref.RecordWith(h)
 		if err != nil {
-			return true
+			corrupt = true
+			return false
 		}
 		// Zero-copy gather: the record's key/value alias log memory; the
 		// fabric hands the pointers to the target (§3.2).
 		resp.Records = append(resp.Records, rec)
-		used += rec.WireSize()
+		used += wire.RecordSize(int(h.KeyLen), int(h.ValueLen))
 		return used < budget
 	})
+	if corrupt {
+		return &wire.PullResponse{Status: statusCorruptEntry, Records: resp.Records[:0]}
+	}
 	resp.ResumeToken = next
 	resp.Done = done
 	st.pullBytesServed.Add(int64(used))
 	return resp
 }
+
+// statusCorruptEntry answers a Pull or PriorityPull that met an entry failing
+// its checksum. A pull that skipped the entry would report the range
+// migrated without it, and the source's copy, the only one, is dropped
+// when the migration ends; failing the pull fails the migration and keeps
+// the record here.
+const statusCorruptEntry = wire.StatusInternalError
 
 func (s *Server) handlePriorityPull(st *statShard, req *wire.PriorityPullRequest) *wire.PriorityPullResponse {
 	st.priorityPulls.Add(1)
@@ -800,10 +813,11 @@ func (s *Server) handlePriorityPull(st *statShard, req *wire.PriorityPullRequest
 		}
 		for _, ref := range refs {
 			rec, err := ref.Record()
-			if err == nil {
-				resp.Records = append(resp.Records, rec)
-				bytes += int64(rec.WireSize())
+			if err != nil {
+				return &wire.PriorityPullResponse{Status: statusCorruptEntry, Records: resp.Records[:0]}
 			}
+			resp.Records = append(resp.Records, rec)
+			bytes += int64(wire.RecordSize(len(rec.Key), len(rec.Value)))
 		}
 	}
 	st.priorityPullBytes.Add(bytes)
@@ -837,42 +851,14 @@ func (s *Server) handleTakeTablets(ctx context.Context, st *statShard, req *wire
 	// The range is not served here yet: a sweep still pending from an
 	// earlier drop of it must not reach the records replayed below.
 	s.finishSweeps(req.Table, req.Range)
-	tombstones := false
-	for i := range req.Records {
-		rec := &req.Records[i]
-		if rec.Tombstone {
-			// A recovered deletion: park the tombstone so an older copy this
-			// server may still hold (a migration source re-assuming the
-			// tablet after its target died) loses the version race.
-			tref, err := s.log.Append(st.wk, storage.EntryTombstone, rec.Table, rec.Version, 0, rec.Key, nil)
-			if err != nil {
-				return &wire.TakeTabletsResponse{Status: wire.StatusInternalError}
-			}
-			tombstones = true
-			hash := wire.HashKey(rec.Key)
-			if prev, stored := s.ht.PutIfNewer(rec.Table, rec.Key, hash, tref, rec.Version); stored {
-				if !prev.IsZero() {
-					s.log.MarkDead(prev)
-				}
-			} else {
-				s.log.MarkDead(tref)
-			}
-			continue
-		}
-		ref, err := s.log.Append(st.wk, storage.EntryObject, rec.Table, rec.Version, 0, rec.Key, rec.Value)
-		if err != nil {
-			return &wire.TakeTabletsResponse{Status: wire.StatusInternalError}
-		}
-		hash := wire.HashKey(rec.Key)
-		if prev, stored := s.ht.PutIfNewer(rec.Table, rec.Key, hash, ref, rec.Version); stored {
-			if !prev.IsZero() {
-				s.log.MarkDead(prev)
-			}
-		} else {
-			s.log.MarkDead(ref)
-		}
+	// A recovered deletion is parked as a tombstone so an older copy this
+	// server may still hold (a migration source re-assuming the tablet
+	// after its target died) loses the version race.
+	res, err := s.log.Replay(st.wk, s.ht, req.Records, storage.ReplayOptions{LogDead: true})
+	if err != nil {
+		return &wire.TakeTabletsResponse{Status: wire.StatusInternalError}
 	}
-	if tombstones {
+	if res.Tombstones > 0 {
 		// The parked tombstones have done their job (any stale copies are
 		// dead); drop them from the hash table so the keys read as absent
 		// without occupying slots.
@@ -906,23 +892,8 @@ func (s *Server) handleReplayRecords(ctx context.Context, st *statShard, req *wi
 	// The pushed records carry no range; any sweep pending on the table
 	// is finished before they land.
 	s.finishSweeps(req.Table, wire.FullRange())
-	for i := range req.Records {
-		rec := &req.Records[i]
-		if rec.Tombstone {
-			continue
-		}
-		ref, err := s.log.Append(st.wk, storage.EntryObject, rec.Table, rec.Version, 0, rec.Key, rec.Value)
-		if err != nil {
-			return &wire.ReplayRecordsResponse{Status: wire.StatusInternalError}
-		}
-		hash := wire.HashKey(rec.Key)
-		if prev, stored := s.ht.PutIfNewer(rec.Table, rec.Key, hash, ref, rec.Version); stored {
-			if !prev.IsZero() {
-				s.log.MarkDead(prev)
-			}
-		} else {
-			s.log.MarkDead(ref)
-		}
+	if _, err := s.log.Replay(st.wk, s.ht, req.Records, storage.ReplayOptions{SkipTombstones: true, LogDead: true}); err != nil {
+		return &wire.ReplayRecordsResponse{Status: wire.StatusInternalError}
 	}
 	if req.Replicate {
 		if err := s.repl.Sync(ctx); err != nil {

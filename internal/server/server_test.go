@@ -529,3 +529,46 @@ func TestServerMissRacingMigrationCompletion(t *testing.T) {
 		t.Errorf("delete: %v, want Retry", d.Status)
 	}
 }
+
+// corruptValue flips the last value byte of key's entry in s's log, so the
+// entry fails its checksum.
+func corruptValue(t *testing.T, s *Server, table wire.TableID, key []byte) {
+	t.Helper()
+	ref, ok := s.ht.Get(table, key, wire.HashKey(key))
+	if !ok {
+		t.Fatalf("key %q not stored", key)
+	}
+	size := ref.Size()
+	ref.Seg.Data(int(ref.Off), int(ref.Off)+size)[size-1] ^= 0xff
+	if _, err := ref.Record(); err == nil {
+		t.Fatal("flipped byte left the checksum valid")
+	}
+}
+
+// TestServerPullFailsOnCorruptEntry: an entry that fails its checksum
+// fails the Pull and the PriorityPull that meet it. Skipping it would let
+// the migration finish without the record and then drop the source's
+// copy, the only one.
+func TestServerPullFailsOnCorruptEntry(t *testing.T) {
+	r := newRig(t, Config{})
+	r.srv.RegisterTablet(1, wire.FullRange(), TabletNormal)
+	var keys [][]byte
+	for i := 0; i < 100; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("key-%03d", i)))
+		r.call(t, &wire.WriteRequest{Table: 1, Key: keys[i], Value: []byte("value")})
+	}
+	corruptValue(t, r.srv, 1, keys[42])
+
+	pull := r.call(t, &wire.PullRequest{Table: 1, Range: wire.FullRange(), ByteBudget: 1 << 20}).(*wire.PullResponse)
+	if pull.Status != wire.StatusInternalError || len(pull.Records) != 0 {
+		t.Fatalf("pull over a corrupt entry: status %v, %d records", pull.Status, len(pull.Records))
+	}
+	pp := r.call(t, &wire.PriorityPullRequest{Table: 1, Hashes: []uint64{wire.HashKey(keys[41]), wire.HashKey(keys[42])}}).(*wire.PriorityPullResponse)
+	if pp.Status != wire.StatusInternalError || len(pp.Records) != 0 {
+		t.Fatalf("priority pull of a corrupt entry: status %v, %d records", pp.Status, len(pp.Records))
+	}
+	pp = r.call(t, &wire.PriorityPullRequest{Table: 1, Hashes: []uint64{wire.HashKey(keys[41])}}).(*wire.PriorityPullResponse)
+	if pp.Status != wire.StatusOK || len(pp.Records) != 1 {
+		t.Fatalf("priority pull of a sound entry: status %v, %d records", pp.Status, len(pp.Records))
+	}
+}

@@ -132,6 +132,14 @@ func parseHeader(buf []byte) (EntryHeader, error) {
 	return h, nil
 }
 
+// peekHeader reads the table and the total entry size from the header at
+// the start of buf, which holds at least EntryHeaderSize bytes, without
+// validating anything: the touch pass uses it to find an entry's lines.
+func peekHeader(buf []byte) (wire.TableID, int) {
+	return wire.TableID(binary.LittleEndian.Uint64(buf[1:])),
+		EntrySize(int(binary.LittleEndian.Uint16(buf[33:])), int(binary.LittleEndian.Uint32(buf[35:])))
+}
+
 // ParseEntryAt decodes and checksum-validates the entry at the start of
 // buf; recovery uses it to scan backup segment replicas. The returned key
 // and value alias buf.
@@ -144,10 +152,21 @@ func parseEntry(buf []byte) (h EntryHeader, key, value []byte, err error) {
 	if err != nil {
 		return h, nil, nil, err
 	}
+	key, value, err = entryBody(buf, h)
+	return h, key, value, err
+}
+
+// entryBody returns the key and value of the entry at the start of buf,
+// whose header parseHeader decoded from buf as h, after checking them
+// against h's checksum. They alias buf.
+func entryBody(buf []byte, h EntryHeader) (key, value []byte, err error) {
+	if len(buf) < h.Size() {
+		return nil, nil, ErrBadEntry
+	}
 	key = buf[EntryHeaderSize : EntryHeaderSize+int(h.KeyLen)]
 	value = buf[EntryHeaderSize+int(h.KeyLen) : h.Size()]
 	if entryCRC(buf[:EntryHeaderSize-4], key, value) != h.Checksum {
-		return h, nil, nil, ErrBadChecksum
+		return nil, nil, ErrBadChecksum
 	}
-	return h, key, value, nil
+	return key, value, nil
 }

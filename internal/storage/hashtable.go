@@ -359,6 +359,12 @@ func (t *HashTable) PutIfNewer(table wire.TableID, key []byte, hash uint64, ref 
 	st := t.stripeOf(bi)
 	st.beginWrite()
 	defer st.endWrite()
+	return t.putIfNewerLocked(bi, table, key, hash, ref, version)
+}
+
+// putIfNewerLocked is PutIfNewer's body; the caller holds bucket bi's
+// stripe write section.
+func (t *HashTable) putIfNewerLocked(bi uint64, table wire.TableID, key []byte, hash uint64, ref Ref, version uint64) (Ref, bool) {
 	for b := &t.buckets[bi]; b != nil; b = b.overflow.Load() {
 		for i := range b.slots {
 			s := &b.slots[i]
@@ -375,6 +381,64 @@ func (t *HashTable) PutIfNewer(table wire.TableID, key []byte, hash uint64, ref 
 	}
 	_, _ = t.putLocked(bi, table, key, hash, ref)
 	return Ref{}, true
+}
+
+// maxLinkRun caps how many records linkBatch links in one stripe write
+// section. A section delays every reader of its stripe (they retry, then
+// wait on the read lock), so the cap bounds that delay at maxLinkRun
+// links whatever the batch holds: 16 links that each replace an entry
+// took about 2.4 µs on a 2-core box, while the section's lock and two
+// sequence bumps, shared by the run, cost tens of nanoseconds.
+const maxLinkRun = 16
+
+// linkBatch links a replayed batch into the table with PutIfNewer's rule,
+// in batch order: refs[i] is recs[i]'s new log entry (zero for a record
+// the replay skipped) and hashes[i] its key hash. Runs of consecutive
+// records whose keys share a stripe are linked in one write section each
+// (Pull batches arrive in bucket order, so their runs are long). An entry
+// the batch makes dead — the replaced one, or the new one when it lost
+// the version race — leaves its segment's live count; the bytes are
+// summed into dead. Stored and StoredBytes count the object records that
+// took effect.
+func (t *HashTable) linkBatch(recs []wire.Record, hashes []uint64, refs []Ref, sizes []int32, res *ReplayResult) (dead int64) {
+	for i := 0; i < len(recs); {
+		if refs[i].IsZero() {
+			i++
+			continue
+		}
+		st := t.stripeOf(t.BucketOf(hashes[i]))
+		end := i + 1
+		for end < len(recs) && end-i < maxLinkRun &&
+			(refs[end].IsZero() || t.stripeOf(t.BucketOf(hashes[end])) == st) {
+			end++
+		}
+		st.beginWrite()
+		for j := i; j < end; j++ {
+			if refs[j].IsZero() {
+				continue
+			}
+			rec := &recs[j]
+			prev, stored := t.putIfNewerLocked(t.BucketOf(hashes[j]), rec.Table, rec.Key, hashes[j], refs[j], rec.Version)
+			if !stored {
+				refs[j].Seg.addLive(-int(sizes[j]))
+				dead += int64(sizes[j])
+				continue
+			}
+			if !prev.IsZero() {
+				if n := prev.Size(); n > 0 {
+					prev.Seg.addLive(-n)
+					dead += int64(n)
+				}
+			}
+			if !rec.Tombstone {
+				res.Stored++
+				res.StoredBytes += int64(wire.RecordSize(len(rec.Key), len(rec.Value)))
+			}
+		}
+		st.endWrite()
+		i = end
+	}
+	return dead
 }
 
 // Remove deletes the entry for (table, key) and returns its ref.
@@ -435,25 +499,109 @@ func (t *HashTable) RefersTo(table wire.TableID, key []byte, hash uint64, ref Re
 	return false
 }
 
+// touchAhead is how many buckets a range walk touches (touchRange) before
+// it visits them. A bucket-order walk finds each entry at an unrelated
+// place in the log, so visiting entries one by one waits out one cache
+// miss after another; touching a window's entries first puts their misses
+// in flight together. A table holds 1–4 entries per bucket (NewHashTable
+// sizes it for ~50 % slot occupancy at its capacity hint), so 16 buckets
+// are some 16–64 entries: more independent loads than a core keeps in
+// flight, few enough that their lines are still cached when the visit
+// reaches them. Migrations of 1.2 M records moved about as
+// fast at 16 as at 32, and more slowly at 8, on a 2-core box.
+const touchAhead = 16
+
+// RemoveRange keeps one bit per bucket of a window in a uint64.
+const _ uint = 64 - touchAhead
+
+// touchRange loads, for the entries of buckets [from, to] whose key hash
+// lies in rng, each entry's header line and, when whole is set and the
+// entry is table's, every further line the entry spans. The loads carry no
+// dependency on one another, so their misses overlap.
+//
+// It is only a hint. Slots are read inside a stripe read section, and a
+// bucket a writer overlapped contributes no refs. Every ref is also
+// bounds-checked against its segment's published length, so even a torn
+// one reads published, immutable bytes or nothing. No result depends on
+// what it loads, and it stores nothing: the returned byte folds the loaded
+// bytes so the loads cannot be compiled away, and callers drop it.
+//
+//go:noinline
+func (t *HashTable) touchRange(table wire.TableID, rng wire.HashRange, from, to uint64, whole bool) byte {
+	// Collect first and load after, so the loading loops are short enough
+	// for the core to run many of their loads ahead of the first miss.
+	var refs [touchAhead * slotsPerBucket]Ref
+	n := 0
+	for bi := from; bi <= to && n < len(refs); bi++ {
+		st := t.stripeOf(bi)
+		seq := st.seq.Load()
+		if seq&1 != 0 {
+			continue
+		}
+		bucketStart := n
+		for b := &t.buckets[bi]; b != nil; b = b.overflow.Load() {
+			for i := range b.slots {
+				s := &b.slots[i]
+				seg := s.seg.Load()
+				if seg == nil || !rng.Contains(s.hash.Load()) || n == len(refs) {
+					continue
+				}
+				if off := s.off.Load(); int(off)+EntryHeaderSize <= seg.Len() {
+					refs[n] = Ref{Seg: seg, Off: off}
+					n++
+				}
+			}
+		}
+		if st.seq.Load() != seq {
+			n = bucketStart // a writer overlapped: drop the bucket's refs
+		}
+	}
+	var acc byte
+	for _, r := range refs[:n] {
+		acc ^= r.Seg.buf[r.Off] ^ r.Seg.buf[int(r.Off)+EntryHeaderSize-1]
+	}
+	if !whole {
+		return acc
+	}
+	for _, r := range refs[:n] {
+		buf := r.Seg.buf[:r.Seg.Len()]
+		entryTable, size := peekHeader(buf[r.Off:])
+		end := int(r.Off) + size
+		if entryTable != table || end > len(buf) {
+			continue
+		}
+		for line := int(r.Off)&^63 + 64; line < end; line += 64 {
+			acc ^= buf[line]
+		}
+	}
+	return acc
+}
+
 // ScanRange iterates entries of table whose key hash lies in rng, starting
 // from bucket index startBucket (0 resumes from the range's first bucket).
-// visit is called outside per-entry locks but under the bucket's stripe
-// read lock; if it returns false the scan stops *at the end of the current
-// bucket* so resume tokens always sit on bucket boundaries and no record
-// is delivered twice. Returns the resume token and whether the range is
-// exhausted.
+// visit gets each entry's ref and its parsed header; it is called under
+// the bucket's stripe read lock; if it returns false the scan stops *at
+// the end of the current bucket* so resume tokens always sit on bucket
+// boundaries and no record is delivered twice. Returns the resume token
+// and whether the range is exhausted. Each window of touchAhead buckets is
+// touched (touchRange, key and value included) before it is visited.
 //
 // This is the source-side engine of Rocksteady Pulls: stateless at the
 // source (the token is the only cursor) and contention-free across
 // disjoint partitions (§3.1.1).
-func (t *HashTable) ScanRange(table wire.TableID, rng wire.HashRange, startBucket uint64, visit func(ref Ref) bool) (next uint64, done bool) {
+func (t *HashTable) ScanRange(table wire.TableID, rng wire.HashRange, startBucket uint64, visit func(ref Ref, h EntryHeader) bool) (next uint64, done bool) {
 	first := t.BucketOf(rng.Start)
 	last := t.BucketOf(rng.End)
 	bi := first
 	if startBucket > bi {
 		bi = startBucket
 	}
+	touched := bi
 	for ; bi <= last; bi++ {
+		if bi == touched {
+			touched = min(bi+touchAhead, last+1)
+			_ = t.touchRange(table, rng, bi, touched-1, true)
+		}
 		st := t.stripeOf(bi)
 		st.mu.RLock()
 		keepGoing := true
@@ -464,10 +612,11 @@ func (t *HashTable) ScanRange(table wire.TableID, rng wire.HashRange, startBucke
 					continue
 				}
 				ref := s.loadRef()
-				if h, err := ref.Header(); err != nil || h.Table != table {
+				h, err := ref.Header()
+				if err != nil || h.Table != table {
 					continue
 				}
-				if !visit(ref) {
+				if !visit(ref, h) {
 					keepGoing = false
 				}
 			}
@@ -484,14 +633,31 @@ func (t *HashTable) ScanRange(table wire.TableID, rng wire.HashRange, startBucke
 // invoking onRemove for each (to mark log bytes dead). Used when a server
 // drops a tablet. A bucket that a validated seqlock read finds without an
 // entry in rng is skipped without entering its write section, so sweeping
-// an empty range costs reads only.
+// an empty range costs reads only. The sweep decides that for a window of
+// touchAhead buckets at a time, and when the window holds entries it
+// touches their header lines (touchRange) before removing them: the sweep
+// reads nothing else of an entry. No entry can enter the window between
+// the check and the removal: a range is swept only once retired, and every
+// path that puts records into a retired range first finishes its sweep.
 func (t *HashTable) RemoveRange(table wire.TableID, rng wire.HashRange, onRemove func(ref Ref)) int {
 	first := t.BucketOf(rng.Start)
 	last := t.BucketOf(rng.End)
 	removed := 0
+	var window, holds uint64 // first bucket of the window; bit i: bucket window+i holds entries in rng
 	for bi := first; ; bi++ {
-		st := t.stripeOf(bi)
-		if seq := st.seq.Load(); seq&1 != 0 || t.holdsInRange(bi, rng) || st.seq.Load() != seq {
+		if bi == first || bi-window == touchAhead {
+			window, holds = bi, 0
+			for i := uint64(0); i < touchAhead && bi+i <= last; i++ {
+				if t.mayHoldInRange(bi+i, rng) {
+					holds |= 1 << i
+				}
+			}
+			if holds != 0 {
+				_ = t.touchRange(table, rng, bi, min(bi+touchAhead-1, last), false)
+			}
+		}
+		if holds&(1<<(bi-window)) != 0 {
+			st := t.stripeOf(bi)
 			st.beginWrite()
 			for b := &t.buckets[bi]; b != nil; b = b.overflow.Load() {
 				for i := range b.slots {
@@ -518,6 +684,14 @@ func (t *HashTable) RemoveRange(table wire.TableID, rng wire.HashRange, onRemove
 			return removed
 		}
 	}
+}
+
+// mayHoldInRange reports whether bucket bi may hold an entry whose key
+// hash lies in rng: false only when a validated seqlock read finds none.
+func (t *HashTable) mayHoldInRange(bi uint64, rng wire.HashRange) bool {
+	st := t.stripeOf(bi)
+	seq := st.seq.Load()
+	return seq&1 != 0 || t.holdsInRange(bi, rng) || st.seq.Load() != seq
 }
 
 // holdsInRange reports whether bucket bi has an entry whose key hash lies
@@ -573,11 +747,9 @@ func (t *HashTable) RemoveTombstoneRefs(table wire.TableID, rng wire.HashRange) 
 // CountRange counts entries and bytes of table within rng (tests and
 // debugging; it scans the whole range).
 func (t *HashTable) CountRange(table wire.TableID, rng wire.HashRange) (count, byteSize uint64) {
-	t.ScanRange(table, rng, 0, func(ref Ref) bool {
-		if h, err := ref.Header(); err == nil {
-			count++
-			byteSize += uint64(h.Size())
-		}
+	t.ScanRange(table, rng, 0, func(_ Ref, h EntryHeader) bool {
+		count++
+		byteSize += uint64(h.Size())
 		return true
 	})
 	return count, byteSize

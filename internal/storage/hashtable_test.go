@@ -175,7 +175,7 @@ func TestScanRangePartitionsCoverExactlyOnce(t *testing.T) {
 			token := uint64(0)
 			for {
 				visited := 0
-				next, done := ht.ScanRange(1, p, token, func(ref Ref) bool {
+				next, done := ht.ScanRange(1, p, token, func(ref Ref, _ EntryHeader) bool {
 					_, key, _, err := ref.Entry()
 					if err != nil {
 						t.Fatal(err)
@@ -209,8 +209,11 @@ func TestScanRangeFiltersTableAndRange(t *testing.T) {
 
 	half := wire.FullRange().Split(2)[0]
 	count := 0
-	ht.ScanRange(1, half, 0, func(ref Ref) bool {
+	ht.ScanRange(1, half, 0, func(ref Ref, sh EntryHeader) bool {
 		h, key, _, err := ref.Entry()
+		if h != sh {
+			t.Fatalf("ScanRange header %v, entry header %v", sh, h)
+		}
 		if err != nil || h.Table != 1 {
 			t.Fatalf("wrong table entry in scan: %v %v", h, err)
 		}

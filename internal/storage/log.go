@@ -16,6 +16,9 @@ const MainLogID uint64 = 0
 // ErrLogClosed reports an append to a closed (crashed) log.
 var ErrLogClosed = errors.New("storage: log closed")
 
+// errSideLogCommitted reports an append to a side log already committed.
+var errSideLogCommitted = errors.New("storage: append to committed side log")
+
 // AppendEvent notifies the replication manager of new log bytes. Data
 // aliases segment memory (immutable once published). Events for one
 // segment are delivered in append order (they are emitted under the
@@ -183,7 +186,7 @@ func (l *Log) Close() {
 func (l *Log) Append(w int, typ EntryType, table wire.TableID, version, aux uint64, key, value []byte) (Ref, error) {
 	size := EntrySize(len(key), len(value))
 	if size > l.segSize {
-		return Ref{}, errors.New("storage: entry exceeds segment size")
+		return Ref{}, errTooLarge
 	}
 	h := EntryHeader{Type: typ, Table: table, Version: version, Aux: aux}
 	if w < 0 {
@@ -195,27 +198,40 @@ func (l *Log) Append(w int, typ EntryType, table wire.TableID, version, aux uint
 		sh.mu.Unlock()
 		return Ref{}, ErrLogClosed
 	}
-	if sh.head == nil || !sh.head.hasRoom(size) {
-		if sh.head != nil {
-			sh.head.seal()
-			if l.onAppend != nil {
-				l.onAppend(AppendEvent{LogID: l.ID, SegmentID: sh.head.ID, Offset: sh.head.Len(), Sealed: true})
-			}
-		}
-		seg := newSegment(l.nextSegID.Add(1), l.ID, l.segSize)
-		l.segMu.Lock()
-		l.segments[seg.ID] = seg
-		l.segMu.Unlock()
-		sh.head = seg
-	}
-	seg := sh.head
+	seg := l.headLocked(sh, size)
 	h.Epoch = l.epochCounter.Add(1)
-	off := seg.appendEntry(&h, key, value)
+	off := l.appendLocked(seg, &h, key, value, size)
 	seg.addLive(size)
-	l.appended.Add(uint64(size))
-	l.stats.EntryCount.Add(1)
-	l.stats.LiveBytes.Add(int64(size))
-	l.stats.AppendedBytes.Add(int64(size))
+	l.countAppended(1, size)
+	sh.mu.Unlock()
+	return Ref{Seg: seg, Off: off}, nil
+}
+
+// headLocked returns sh's head segment with room for an entry of size
+// bytes, sealing a full head and opening a new one. The caller holds
+// sh.mu.
+func (l *Log) headLocked(sh *logShard, size int) *Segment {
+	if sh.head != nil && sh.head.hasRoom(size) {
+		return sh.head
+	}
+	if sh.head != nil {
+		sh.head.seal()
+		if l.onAppend != nil {
+			l.onAppend(AppendEvent{LogID: l.ID, SegmentID: sh.head.ID, Offset: sh.head.Len(), Sealed: true})
+		}
+	}
+	seg := newSegment(l.nextSegID.Add(1), l.ID, l.segSize)
+	l.segMu.Lock()
+	l.segments[seg.ID] = seg
+	l.segMu.Unlock()
+	sh.head = seg
+	return seg
+}
+
+// appendLocked encodes one entry into seg, which headLocked returned for
+// its size, and reports it to onAppend. The caller holds the shard lock.
+func (l *Log) appendLocked(seg *Segment, h *EntryHeader, key, value []byte, size int) uint32 {
+	off := seg.appendEntry(h, key, value)
 	if l.onAppend != nil {
 		// Emitted under the shard lock so a segment's events arrive in
 		// append order — the contiguity the replicator's coalescing and
@@ -227,8 +243,16 @@ func (l *Log) Append(w int, typ EntryType, table wire.TableID, version, aux uint
 			Data:      seg.Data(int(off), int(off)+size),
 		})
 	}
-	sh.mu.Unlock()
-	return Ref{Seg: seg, Off: off}, nil
+	return off
+}
+
+// countAppended adds entries entries of bytes bytes in total to the log's
+// statistics.
+func (l *Log) countAppended(entries, bytes int) {
+	l.appended.Add(uint64(bytes))
+	l.stats.EntryCount.Add(int64(entries))
+	l.stats.LiveBytes.Add(int64(bytes))
+	l.stats.AppendedBytes.Add(int64(bytes))
 }
 
 // AppendObject writes an object entry through shard 0 with a freshly
@@ -369,7 +393,7 @@ type SideLog struct {
 // log.
 func (s *SideLog) Append(table wire.TableID, version uint64, key, value []byte) (Ref, error) {
 	if s.committed {
-		return Ref{}, errors.New("storage: append to committed side log")
+		return Ref{}, errSideLogCommitted
 	}
 	return s.log.Append(0, EntryObject, table, version, 0, key, value)
 }
@@ -377,7 +401,7 @@ func (s *SideLog) Append(table wire.TableID, version uint64, key, value []byte) 
 // AppendTombstone writes a tombstone into the side log (replay of deletes).
 func (s *SideLog) AppendTombstone(table wire.TableID, version uint64, key []byte) (Ref, error) {
 	if s.committed {
-		return Ref{}, errors.New("storage: append to committed side log")
+		return Ref{}, errSideLogCommitted
 	}
 	return s.log.Append(0, EntryTombstone, table, version, 0, key, nil)
 }

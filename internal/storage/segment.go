@@ -137,7 +137,18 @@ func (r Ref) Size() int {
 // copying key or value (the zero-copy "gather" of §3.2: transports copy at
 // the serialization boundary only).
 func (r Ref) Record() (wire.Record, error) {
-	h, key, value, err := r.Entry()
+	h, err := r.Header()
+	if err != nil {
+		return wire.Record{}, err
+	}
+	return r.RecordWith(h)
+}
+
+// RecordWith is Record for a caller that already holds the entry's parsed
+// header h (ScanRange hands it over): it verifies the checksum without
+// parsing the header again.
+func (r Ref) RecordWith(h EntryHeader) (wire.Record, error) {
+	key, value, err := entryBody(r.bytes(), h)
 	if err != nil {
 		return wire.Record{}, err
 	}

@@ -381,3 +381,12 @@ func (r *Record) WireSize() int {
 	record(&c, r)
 	return c.n
 }
+
+// recordOverhead is the encoded size of a record less its key and value
+// bytes.
+var recordOverhead = (&Record{}).WireSize()
+
+// RecordSize returns the encoded size of a record with keyLen key bytes
+// and valueLen value bytes: WireSize by arithmetic, for the migration
+// paths that size every record they move.
+func RecordSize(keyLen, valueLen int) int { return recordOverhead + keyLen + valueLen }

@@ -470,3 +470,18 @@ func TestHashKeySplitsEvenly(t *testing.T) {
 		t.Errorf("lower half got %d of %d sequential keys", lower, n)
 	}
 }
+
+// TestRecordSizeMatchesWireSize: the arithmetic size agrees with the codec
+// for every shape of record.
+func TestRecordSizeMatchesWireSize(t *testing.T) {
+	for _, r := range []Record{
+		{},
+		{Table: 7, Version: 9, Key: []byte("k"), Value: []byte("value")},
+		{Table: 1, Key: make([]byte, 300), Value: make([]byte, 70000)},
+		{Table: 1, Version: 3, Key: []byte("gone"), Tombstone: true},
+	} {
+		if got, want := RecordSize(len(r.Key), len(r.Value)), r.WireSize(); got != want {
+			t.Errorf("RecordSize(%d, %d) = %d, WireSize %d", len(r.Key), len(r.Value), got, want)
+		}
+	}
+}
